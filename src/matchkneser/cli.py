@@ -3,13 +3,14 @@
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
 3 timeout (result unknown). Identical invocations produce byte-identical
 output; the only environment influence is MATCHKNESER_TIMEOUT overriding
-the default time budget.
+the default time budget (a value that is not a number is a usage error).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -63,9 +64,12 @@ def _default_timeout() -> float:
     if raw is None:
         return DEFAULT_TIME_BUDGET
     try:
-        return float(raw)
+        seconds = float(raw)
     except ValueError:
-        return DEFAULT_TIME_BUDGET
+        seconds = math.nan
+    if math.isnan(seconds):
+        raise ParameterError(f"{TIMEOUT_ENV_VAR}={raw!r} is not a number of seconds")
+    return seconds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +311,11 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ParameterError as exc:  # a malformed environment default
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic

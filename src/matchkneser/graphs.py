@@ -1,9 +1,11 @@
 """Finite simple graphs with dense integer vertices, plus exact matching machinery.
 
-Everything here is immutable after construction: edge deletion returns a new
-graph value, and all operations are pure functions of their inputs. Matchings
-are kept in a canonical form (lexicographically sorted tuples of ``(u, v)``
-edges with ``u < v``) so that equality and ordering are structural.
+Graphs are immutable after construction: edge deletion returns a new graph
+value, and all operations are pure functions of their inputs, except
+``repair_matching``, which updates a caller-owned mate array in place for
+incremental searches over one mutable adjacency. Matchings are kept in a
+canonical form (lexicographically sorted tuples of ``(u, v)`` edges with
+``u < v``) so that equality and ordering are structural.
 """
 
 from __future__ import annotations
@@ -332,8 +334,8 @@ def _find_augmenting_path(n: int, adj, match: list[int], root: int) -> bool:
     return False
 
 
-def maximum_matching(G: LabeledGraph, stop_at: int | None = None) -> Matching:
-    """A maximum matching of G (canonical form), exact on non-bipartite graphs.
+def maximum_mates(G: LabeledGraph, stop_at: int | None = None) -> list[int]:
+    """A maximum matching of G as a mate array: ``mate[v]`` is v's partner, or -1.
 
     With ``stop_at`` the search returns as soon as that many edges are
     matched, so callers asking "is there an r-matching?" pay only for the
@@ -341,21 +343,51 @@ def maximum_matching(G: LabeledGraph, stop_at: int | None = None) -> Matching:
     """
 
     n = G.n
-    match = [-1] * n
+    mate = [-1] * n
     size = 0
     for u, v in G.edges:  # greedy seed in canonical edge order
-        if match[u] == -1 and match[v] == -1:
-            match[u] = v
-            match[v] = u
+        if mate[u] == -1 and mate[v] == -1:
+            mate[u] = v
+            mate[v] = u
             size += 1
     adj = G.adj
     if stop_at is None or size < stop_at:
         for v in range(n):
             if stop_at is not None and size >= stop_at:
                 break
-            if match[v] == -1 and _find_augmenting_path(n, adj, match, v):
+            if mate[v] == -1 and _find_augmenting_path(n, adj, mate, v):
                 size += 1
-    return tuple(sorted((v, match[v]) for v in range(n) if match[v] > v))
+    return mate
+
+
+def repair_matching(adj, mate: list[int], u: int, v: int) -> int:
+    """Keep ``mate`` maximum after the edge (u, v) is deleted from ``adj``; returns the drop in size.
+
+    ``mate`` must be a maximum matching of the graph before the deletion and
+    ``adj`` the adjacency after it. Deleting an unmatched edge changes
+    nothing. A matched edge is unmatched, and an augmenting path is sought
+    from u, then from v: any augmenting path must end at one of them, since
+    every other exposed vertex was already exposed under a maximum matching.
+    So the matching number drops by 0 or 1 and two searches decide which.
+    """
+
+    if mate[u] != v:
+        return 0
+    mate[u] = mate[v] = -1
+    n = len(mate)
+    if _find_augmenting_path(n, adj, mate, u) or _find_augmenting_path(n, adj, mate, v):
+        return 0
+    return 1
+
+
+def maximum_matching(G: LabeledGraph, stop_at: int | None = None) -> Matching:
+    """A maximum matching of G (canonical form), exact on non-bipartite graphs.
+
+    ``stop_at`` is as in :func:`maximum_mates`.
+    """
+
+    mate = maximum_mates(G, stop_at)
+    return tuple(sorted((v, mate[v]) for v in range(G.n) if mate[v] > v))
 
 
 def matching_number(G: LabeledGraph) -> int:

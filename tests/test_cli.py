@@ -121,6 +121,21 @@ def test_timeout_exit_code(petersen_file, capsys):
     assert "timeout" in capsys.readouterr().err
 
 
+def test_timeout_from_environment(petersen_file, monkeypatch, capsys):
+    monkeypatch.setenv("MATCHKNESER_TIMEOUT", "-1")
+    assert main(["chi", "--in", str(petersen_file)]) == EXIT_UNKNOWN
+    assert "timeout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["abc", "nan", ""])
+def test_malformed_timeout_environment_is_usage_error(raw, monkeypatch, capsys):
+    monkeypatch.setenv("MATCHKNESER_TIMEOUT", raw)
+    assert main(["verify", "petersen"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "MATCHKNESER_TIMEOUT" in err
+
+
 def test_usage_errors(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["chi"]) == EXIT_USAGE
