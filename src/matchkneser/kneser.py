@@ -13,6 +13,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .errors import KneserSizeError, ParameterError
+from .families import matching_graph
 from .graphs import LabeledGraph, Matching, iter_matchings, make_graph, write_edgelist
 
 DEFAULT_MATCHING_CAP = 200_000
@@ -33,6 +34,33 @@ class MatchingKneserGraph:
     graph: LabeledGraph
 
 
+def capped_matchings(
+    G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_CAP
+) -> tuple[list[Matching], list[int]]:
+    """The r-matchings of G in canonical order, with their edge-index bitmasks.
+
+    Bit i of a mask stands for ``G.edges[i]``, so two matchings are
+    edge-disjoint exactly when their masks AND to zero. Raises
+    :class:`KneserSizeError` as soon as the count passes ``cap``.
+    """
+
+    bits = {e: 1 << i for i, e in enumerate(G.edges)}
+    matchings: list[Matching] = []
+    masks: list[int] = []
+    for matching in iter_matchings(G, r):
+        if len(matchings) >= cap:
+            raise KneserSizeError(
+                f"matching Kneser graph of ({G.n} vertices, r={r}) has more than "
+                f"{cap} vertices (enumeration stopped at {len(matchings) + 1})"
+            )
+        mask = 0
+        for e in matching:
+            mask |= bits[e]
+        matchings.append(matching)
+        masks.append(mask)
+    return matchings, masks
+
+
 def build_matching_kneser(G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_CAP) -> MatchingKneserGraph:
     """Construct the matching Kneser graph of G at size r.
 
@@ -42,22 +70,12 @@ def build_matching_kneser(G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_C
 
     if r < 1:
         raise ParameterError("matching size r must be at least 1")
-    matchings: list[Matching] = []
-    for matching in iter_matchings(G, r):
-        matchings.append(matching)
-        if len(matchings) > cap:
-            raise KneserSizeError(
-                f"matching Kneser graph of ({G.n} vertices, r={r}) has more than "
-                f"{cap} vertices (enumeration stopped at {len(matchings)})"
-            )
-    edge_sets = [frozenset(mt) for mt in matchings]
+    matchings, masks = capped_matchings(G, r, cap)
     n = len(matchings)
     pairs = []
     for i in range(n):
-        left = edge_sets[i]
-        for j in range(i + 1, n):
-            if left.isdisjoint(edge_sets[j]):
-                pairs.append((i, j))
+        left = masks[i]
+        pairs.extend((i, j) for j in range(i + 1, n) if not left & masks[j])
     return MatchingKneserGraph(
         host=G,
         r=r,
@@ -75,25 +93,18 @@ def r_subsets(l: int, r: int) -> list[tuple[int, ...]]:
 def kneser_graph(l: int, r: int) -> LabeledGraph:
     """The Kneser graph K(l, r): r-subsets of an l-set, adjacent when disjoint.
 
-    Vertex i is the i-th r-subset in lexicographic order, which makes the
-    result identical (vertex-for-vertex) to the matching Kneser graph of l
-    independent edges under the canonical matching enumeration order.
+    Built as the matching Kneser graph of l independent edges: its i-th
+    r-matching uses exactly the pairs named by the i-th r-subset in
+    lexicographic order, so vertex ids agree with :func:`r_subsets`. The
+    matching cap applies, so more than ``DEFAULT_MATCHING_CAP`` subsets
+    raise :class:`KneserSizeError`.
     """
 
     if r < 1:
         raise ParameterError("subset size r must be at least 1")
     if l < r:
         raise ParameterError(f"need l >= r, got l={l}, r={r}")
-    subsets = r_subsets(l, r)
-    sets = [frozenset(s) for s in subsets]
-    n = len(subsets)
-    pairs = []
-    for i in range(n):
-        left = sets[i]
-        for j in range(i + 1, n):
-            if left.isdisjoint(sets[j]):
-                pairs.append((i, j))
-    return make_graph(n, pairs)
+    return build_matching_kneser(matching_graph(l), r).graph
 
 
 def matchings_sidecar_lines(mkg: MatchingKneserGraph) -> list[str]:

@@ -94,6 +94,13 @@ def test_gap_unknown_exit_code(petersen_file, capsys):
     capsys.readouterr()
 
 
+def test_negative_kneser_cap_is_usage_error(petersen_file, capsys):
+    assert main(["gap", "--in", str(petersen_file), "--r", "5", "--kneser-cap", "-1"]) == EXIT_USAGE
+    assert "--kneser-cap" in capsys.readouterr().err
+    assert main(["gap", "--in", str(petersen_file), "--r", "5", "--kneser-cap", "0"]) == EXIT_UNKNOWN
+    capsys.readouterr()
+
+
 def test_kneser_files(petersen_file, tmp_path, capsys):
     base = tmp_path / "pmkg"
     assert main(["kneser", "--in", str(petersen_file), "--r", "5", "--out", str(base)]) == EXIT_OK

@@ -1,5 +1,7 @@
 """Graph core: construction, predicates, matching enumeration, matching number."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -24,7 +26,7 @@ from matchkneser import (
     write_edgelist,
 )
 from matchkneser.graphs import edgelist_lines, parse_edgelist
-from matchkneser.families import gap_graph, FamilyParams, matching_graph
+from matchkneser.families import gap_graph, gap_tree, FamilyParams, matching_graph
 
 from helpers import brute_force_matchings, brute_force_matching_number, graphs, to_networkx
 
@@ -82,6 +84,29 @@ def test_tree_and_radius():
         radius(make_graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(ParameterError):
         radius(make_graph(0, []))
+
+
+def _random_tree(rng, n):
+    # Each vertex hangs off one of the few before it, so diameters range from
+    # about 2 (span = n) to n - 1 (span = 1); a shuffle hides the order.
+    span = rng.randint(1, n)
+    label = list(range(n))
+    rng.shuffle(label)
+    return make_graph(n, [(label[v], label[rng.randrange(max(0, v - span), v)]) for v in range(1, n)])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tree_radius_equals_all_sources_minimum(seed):
+    rng = random.Random(seed)
+    tree = _random_tree(rng, rng.randint(1, 60))
+    assert is_tree(tree)
+    assert radius(tree) == nx.radius(to_networkx(tree))
+
+
+@pytest.mark.parametrize("r, theta", [(r, theta) for r in range(3, 7) for theta in (1, 2, 3)] + [(7, 1), (7, 2)])
+def test_gap_tree_ladder_radius_equals_all_sources_minimum(r, theta):
+    tree = gap_tree(r, theta)
+    assert radius(tree) == nx.radius(to_networkx(tree)) == 2
 
 
 def test_enumerate_matchings_examples():

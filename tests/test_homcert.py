@@ -1,13 +1,18 @@
 """Homomorphism maps and the certified chromatic numbers they produce."""
 
+import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from matchkneser import (
+    ChiCertificate,
+    Deadline,
     FamilyParams,
     HomWitness,
     ParameterError,
+    SearchTimeout,
     VerificationError,
     backward_map,
     build_matching_kneser,
@@ -21,8 +26,11 @@ from matchkneser import (
     petersen,
     verify_homomorphism,
 )
+from matchkneser import homcert
 from matchkneser.coloring import check_coloring
-from matchkneser.homcert import find_violation, hom_witness_lines
+from matchkneser.homcert import disjoint_pair_count, find_violation, hom_witness_lines
+from matchkneser.kneser import capped_matchings
+from matchkneser.verify import THEOREM2_GRID
 
 P311 = FamilyParams(3, 1, 1)
 
@@ -89,12 +97,13 @@ def test_verify_homomorphism_basics():
 
 
 def test_forward_witness_is_a_homomorphism_on_graphs():
-    mkg = build_matching_kneser(gap_graph(P311), 3)
-    certification = certify_family(P311)
-    assert verify_homomorphism(certification.forward, mkg.graph, kneser_graph(3, 2))
-    assert verify_homomorphism(
-        certification.backward, kneser_graph(3, 2), mkg.graph
-    )
+    # The pairwise reference check that certify_family itself leaves out.
+    for params in [P311] + [FamilyParams(*grid) for grid in THEOREM2_GRID]:
+        mkg = build_matching_kneser(gap_graph(params), params.r)
+        small = kneser_graph(params.l, params.r - params.t)
+        certification = certify_family(params)
+        assert verify_homomorphism(certification.forward, mkg.graph, small)
+        assert verify_homomorphism(certification.backward, small, mkg.graph)
 
 
 @pytest.mark.parametrize(
@@ -125,19 +134,70 @@ def test_pulled_back_coloring_is_proper():
     certification = certify_family(FamilyParams(3, 3, 1))
     mkg = build_matching_kneser(gap_graph(certification.params), 3)
     check_coloring(mkg.graph, certification.chi_certificate.coloring, 3)
-    assert certification.exhaustive
+    n = certification.n_matchings
+    assert certification.pairs_checked == n * (n - 1) // 2
     assert certification.chi_certificate.witness.kind == "HOMOMORPHISM"
     assert certification.chi_certificate.witness.source_chi.k == 3
 
 
-def test_sampled_pair_verification_path():
-    # Force the sampled route by shrinking the exhaustive pair limit; the
-    # certificate is unchanged, only the verification coverage differs.
-    certification = certify_family(P311, pair_limit=10, sample_pairs=500)
-    assert not certification.exhaustive
-    n = certification.n_matchings
-    assert certification.pairs_checked == min(500, n * (n - 1) // 2)
-    assert certification.chi_certificate.k == 1
+@pytest.mark.parametrize("params", [FamilyParams(3, 2, 1), FamilyParams(4, 2, 2), FamilyParams(4, 2, 1)])
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_disjoint_pair_count_against_brute_force(params, k):
+    matchings, masks = capped_matchings(gap_graph(params), params.r)
+    rng = random.Random(97 * k + params.l)
+    color = [rng.randrange(k) for _ in matchings]
+    for c in range(k):
+        members = [i for i in range(len(matchings)) if color[i] == c]
+        edge_sets = [set(matchings[i]) for i in members]
+        brute = sum(2 for a, b in combinations(edge_sets, 2) if a.isdisjoint(b))
+        assert disjoint_pair_count([masks[i] for i in members], Deadline(None)) == brute
+
+
+def test_disjoint_pair_count_small_cases():
+    assert disjoint_pair_count([], Deadline(None)) == 0
+    assert disjoint_pair_count([0b11, 0b11], Deadline(None)) == 0
+    assert disjoint_pair_count([0b011, 0b100, 0b110], Deadline(None)) == 2
+    matchings, masks = capped_matchings(gap_graph(FamilyParams(3, 2, 1)), 3)
+    assert disjoint_pair_count(masks, Deadline(None)) == 804
+
+
+def test_improper_pulled_coloring_is_refused(monkeypatch):
+    params = FamilyParams(3, 2, 1)
+    real = homcert.chromatic_number
+
+    def one_color(graph, deadline=None):
+        cert = real(graph, deadline=deadline)
+        return ChiCertificate(k=cert.k, coloring=(0,) * graph.n, witness=cert.witness)
+
+    monkeypatch.setattr(homcert, "chromatic_number", one_color)
+    with pytest.raises(VerificationError, match="color class 0"):
+        certify_family(params)
+
+
+class CountingDeadline(Deadline):
+    """No time limit; records each check's stage and raises once ``limit`` checks have passed."""
+
+    def __init__(self, limit=None):
+        super().__init__(None)
+        self.limit = limit
+        self.stages = []
+
+    def check(self, what="search"):
+        if self.limit is not None and len(self.stages) >= self.limit:
+            raise SearchTimeout(f"{what} stopped after {self.limit} checks")
+        self.stages.append(what)
+
+
+def test_certify_family_checks_the_deadline_in_every_loop():
+    params = FamilyParams(4, 3, 1)
+    recorder = CountingDeadline()
+    certify_family(params, deadline=recorder)
+    assert recorder.stages.count("pulled-back coloring check") >= params.theta
+    assert recorder.stages.count("backward map verification") == comb(params.l, params.r - params.t)
+    for stage in ("pulled-back coloring check", "backward map verification"):
+        deadline = CountingDeadline(limit=recorder.stages.index(stage))
+        with pytest.raises(SearchTimeout, match=stage):
+            certify_family(params, deadline=deadline)
 
 
 def test_certify_respects_matching_cap():

@@ -1,5 +1,7 @@
 """Matching Kneser graphs and classical Kneser graphs."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -60,9 +62,16 @@ def test_kneser_equals_matching_kneser_of_matching_graph(l, r):
     if r > l:
         return
     direct = kneser_graph(l, r)
+    subsets = r_subsets(l, r)
+    assert subsets == list(combinations(range(1, l + 1), r))
+    disjoint = [
+        (i, j)
+        for i, j in combinations(range(len(subsets)), 2)
+        if set(subsets[i]).isdisjoint(subsets[j])
+    ]
+    assert direct.n == len(subsets)
+    assert list(direct.edges) == disjoint
     via_matchings = build_matching_kneser(matching_graph(l), r)
-    assert direct.n == via_matchings.graph.n
-    assert direct.edges == via_matchings.graph.edges
     # vertex-for-vertex: matching i uses exactly the pairs named by subset i
     for subset, matching in zip(r_subsets(l, r), via_matchings.matchings):
         assert subset == tuple(u // 2 + 1 for u, _ in matching)
