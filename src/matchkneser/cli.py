@@ -28,7 +28,7 @@ from .families import FamilyParams, gap_graph, gap_tree, matching_graph, peterse
 from .graphs import read_edgelist, write_edgelist, edgelist_lines
 from .homcert import certify_family, hom_witness_lines
 from .kneser import DEFAULT_MATCHING_CAP, build_matching_kneser, write_kneser_files
-from .report import gap_report, reports_json, reports_table
+from .report import assemble_report, gap_report, reports_json, reports_table
 from .turan import min_deletion_set
 from .verify import TARGETS, run_target
 
@@ -72,10 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
         "for matching Kneser graphs.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    timeout = _default_timeout()
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    # Each subcommand takes only the flags its runner reads, so a flag it
+    # would ignore is a usage error instead.
+    def add_solve_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
-        p.add_argument("--timeout", type=float, default=_default_timeout(), metavar="SECONDS")
+        p.add_argument("--timeout", type=float, default=timeout, metavar="SECONDS")
+
+    def add_cap_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--kneser-cap", type=_matching_cap, default=DEFAULT_MATCHING_CAP, metavar="N")
 
     gen = sub.add_parser("gen", help="write a family instance in edge-list format")
@@ -85,37 +90,38 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--theta", type=int)
     gen.add_argument("--gamma", type=int)
     gen.add_argument("--out", type=Path)
-    add_common(gen)
 
     kne = sub.add_parser("kneser", help="build the matching Kneser graph of a graph file")
     kne.add_argument("--in", dest="infile", type=Path, required=True)
     kne.add_argument("--r", type=int, required=True)
     kne.add_argument("--out", type=Path, required=True, help="base path for .edges/.matchings files")
-    add_common(kne)
+    add_cap_flag(kne)
 
     chi = sub.add_parser("chi", help="exact chromatic number of a graph file")
     chi.add_argument("--in", dest="infile", type=Path, required=True)
     chi.add_argument("--out", type=Path, help="write the certificate as JSON")
-    add_common(chi)
+    add_solve_flags(chi)
 
     tur = sub.add_parser("turan", help="minimum deletion set and ex(G, rK2) of a graph file")
     tur.add_argument("--in", dest="infile", type=Path, required=True)
     tur.add_argument("--r", type=int, required=True)
     tur.add_argument("--out", type=Path, help="write the certificate as JSON")
-    add_common(tur)
+    add_solve_flags(tur)
 
     gap = sub.add_parser("gap", help="gap report (chi vs removal bound) of a graph file")
     gap.add_argument("--in", dest="infile", type=Path, required=True)
     gap.add_argument("--r", type=int, required=True)
     gap.add_argument("--out", type=Path, help="write the report as JSON")
-    add_common(gap)
+    add_solve_flags(gap)
+    add_cap_flag(gap)
 
     cert = sub.add_parser("certify", help="full family pipeline: certified chi plus gap report")
     cert.add_argument("--r", type=int, required=True)
     cert.add_argument("--theta", type=int, required=True)
     cert.add_argument("--gamma", type=int, required=True)
     cert.add_argument("--out", type=Path, help="base path for .json/.forward.txt/.backward.txt")
-    add_common(cert)
+    add_solve_flags(cert)
+    add_cap_flag(cert)
 
     ver = sub.add_parser("verify", help="run verification targets")
     ver.add_argument(
@@ -125,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TARGET",
         help=f"one of {', '.join(TARGETS)} or 'all'",
     )
-    add_common(ver)
+    add_solve_flags(ver)
 
     return parser
 
@@ -213,13 +219,12 @@ def _run_certify(args: argparse.Namespace) -> int:
     deadline = Deadline(args.timeout)
     certification = certify_family(params, deadline=deadline, cap=args.kneser_cap)
     G = gap_graph(params)
-    rep = gap_report(
-        G,
+    rep = assemble_report(
+        f"gap(r={args.r},theta={args.theta},gamma={args.gamma})",
         args.r,
-        instance=f"gap(r={args.r},theta={args.theta},gamma={args.gamma})",
-        chi_certificate=certification.chi_certificate,
-        deadline=deadline,
-        kneser_cap=args.kneser_cap,
+        G,
+        min_deletion_set(G, args.r, deadline=deadline),
+        certification.chi_certificate,
     )
     if args.out is not None:
         base = args.out

@@ -119,9 +119,6 @@ def _search_k_coloring(n: int, adj: list[int], k: int, deadline: Deadline) -> li
     neighbor_colors = [0] * n  # per-vertex bitmask of colors on colored neighbors
     full = (1 << k) - 1
     counter = [0]
-    limit = sys.getrecursionlimit()
-    if limit < 4 * n + 1000:
-        sys.setrecursionlimit(4 * n + 1000)
 
     def descend(colored: int, used: int) -> bool:
         counter[0] += 1
@@ -162,9 +159,15 @@ def _search_k_coloring(n: int, adj: list[int], k: int, deadline: Deadline) -> li
             color[v] = -1
         return False
 
-    if descend(0, 0):
-        return color
-    return None
+    # The recursion goes one level per vertex; the raised limit is put back
+    # on the way out, so the search leaves no interpreter-wide trace.
+    limit = sys.getrecursionlimit()
+    if limit < 4 * n + 1000:
+        sys.setrecursionlimit(4 * n + 1000)
+    try:
+        return color if descend(0, 0) else None
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def is_k_colorable(

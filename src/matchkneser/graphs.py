@@ -344,29 +344,19 @@ def _find_augmenting_path(n: int, adj, match: list[int], root: int) -> bool:
     return False
 
 
-def maximum_mates(G: LabeledGraph, stop_at: int | None = None) -> list[int]:
-    """A maximum matching of G as a mate array: ``mate[v]`` is v's partner, or -1.
-
-    With ``stop_at`` the search returns as soon as that many edges are
-    matched, so callers asking "is there an r-matching?" pay only for the
-    first witness.
-    """
+def maximum_mates(G: LabeledGraph) -> list[int]:
+    """A maximum matching of G as a mate array: ``mate[v]`` is v's partner, or -1."""
 
     n = G.n
     mate = [-1] * n
-    size = 0
     for u, v in G.edges:  # greedy seed in canonical edge order
         if mate[u] == -1 and mate[v] == -1:
             mate[u] = v
             mate[v] = u
-            size += 1
     adj = G.adj
-    if stop_at is None or size < stop_at:
-        for v in range(n):
-            if stop_at is not None and size >= stop_at:
-                break
-            if mate[v] == -1 and _find_augmenting_path(n, adj, mate, v):
-                size += 1
+    for v in range(n):
+        if mate[v] == -1:
+            _find_augmenting_path(n, adj, mate, v)
     return mate
 
 
@@ -390,13 +380,10 @@ def repair_matching(adj, mate: list[int], u: int, v: int) -> int:
     return 1
 
 
-def maximum_matching(G: LabeledGraph, stop_at: int | None = None) -> Matching:
-    """A maximum matching of G (canonical form), exact on non-bipartite graphs.
+def maximum_matching(G: LabeledGraph) -> Matching:
+    """A maximum matching of G (canonical form), exact on non-bipartite graphs."""
 
-    ``stop_at`` is as in :func:`maximum_mates`.
-    """
-
-    mate = maximum_mates(G, stop_at)
+    mate = maximum_mates(G)
     return tuple(sorted((v, mate[v]) for v in range(G.n) if mate[v] > v))
 
 
@@ -407,11 +394,11 @@ def matching_number(G: LabeledGraph) -> int:
 
 
 def has_r_matching(G: LabeledGraph, r: int) -> bool:
-    """True iff G contains r pairwise disjoint edges; stops at the first witness."""
+    """True iff G contains r pairwise disjoint edges."""
 
     if r <= 0:
         return True
-    return len(maximum_matching(G, stop_at=r)) >= r
+    return matching_number(G) >= r
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,17 @@ of chi(K(l, r - t)) = theta:
   (indexed by the colexicographic rank of S), so disjoint subsets map to
   edge-disjoint matchings.
 
-Both maps are verified on every matching, never trusted. The forward map
-needs no pair loop: computing it on each matching already proves it a
-homomorphism (see :func:`certify_family`). The pulled-back coloring is
-checked on every pair at once by counting the edge-disjoint pairs inside
-each color class over sub-matchings (:func:`disjoint_pair_count`).
+Both maps are verified, never trusted. The forward map needs no pair loop:
+computing it on each matching already proves it a homomorphism (see
+:func:`certify_family`). The pulled-back coloring is checked on every pair
+at once by counting the edge-disjoint pairs inside each color class over
+sub-matchings (:func:`disjoint_pair_count`). The backward map is checked
+edge by edge over its source, the small Kneser graph K(l, r - t).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -98,7 +100,8 @@ def forward_map(matching: Matching, params: FamilyParams) -> tuple[int, ...]:
     """
 
     p = params
-    indices = [i for i in range(1, p.l + 1) if p.x_edge(i) in matching]
+    offset = p.y_vertex(1)  # x_i y_i is (i - 1, i - 1 + offset)
+    indices = sorted({u + 1 for u, v in matching if 0 <= u < p.l and v == u + offset})
     need = p.r - p.t
     if len(indices) < need:
         raise VerificationError(
@@ -198,7 +201,7 @@ def certify_family(
     the closed form; (b) compute the forward map of every matching and check
     that no color class of the pulled-back coloring holds two edge-disjoint
     matchings, by :func:`disjoint_pair_count`; (c) verify the backward map on
-    every pair of subsets, giving the matching lower bound. Every pair of
+    every edge of K(l, r - t), giving the matching lower bound. Every pair of
     matchings is covered, so ``pairs_checked`` is always n(n - 1)/2.
 
     The forward map needs no pair check of its own: the image of a matching
@@ -242,29 +245,26 @@ def certify_family(
                 f"holds edge-disjoint matchings"
             )
 
-    # Backward homomorphism: injective, round-trips through forward, and
-    # disjoint subsets get edge-disjoint matchings. Pairwise (the subset
-    # side is small by construction).
-    matching_index = {mt: i for i, mt in enumerate(matchings)}
+    # Backward homomorphism: every image is an r-matching of the host (found
+    # by bisection, as ``matchings`` is sorted), round-trips through forward,
+    # and the map is injective; then each edge of ``small`` -- a pair of
+    # disjoint subsets, vertex ids in ``subsets`` order -- must map to
+    # edge-disjoint matchings.
     backward_images = []
     for s in subsets:
+        deadline.check("backward map verification")
         image = backward_map(s, p)
-        if image not in matching_index:
+        i = bisect_left(matchings, image)
+        if i == len(matchings) or matchings[i] != image:
             raise VerificationError(f"backward image of {s} is not an r-matching of the host")
-        backward_images.append(matching_index[image])
+        if forward_map(image, p) != s:
+            raise VerificationError(f"forward(backward({s})) round trip failed")
+        backward_images.append(i)
     if len(set(backward_images)) != len(subsets):
         raise VerificationError("backward map is not injective on subsets")
-    subset_masks = [sum(1 << i for i in s) for s in subsets]
-    image_masks = [masks[i] for i in backward_images]
-    for a in range(len(subsets)):
-        deadline.check("backward map verification")
-        if forward_map(matchings[backward_images[a]], p) != subsets[a]:
-            raise VerificationError(f"forward(backward({subsets[a]})) round trip failed")
-        for b in range(a + 1, len(subsets)):
-            if not subset_masks[a] & subset_masks[b] and image_masks[a] & image_masks[b]:
-                raise VerificationError(
-                    f"backward map is not a homomorphism at subsets ({a}, {b})"
-                )
+    for a, b in small.edges:
+        if masks[backward_images[a]] & masks[backward_images[b]]:
+            raise VerificationError(f"backward map is not a homomorphism at subsets ({a}, {b})")
 
     backward_witness = HomWitness(
         source_desc=tuple(subsets),

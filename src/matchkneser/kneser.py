@@ -14,7 +14,10 @@ from pathlib import Path
 
 from .errors import KneserSizeError, ParameterError
 from .families import matching_graph
-from .graphs import LabeledGraph, Matching, iter_matchings, make_graph, write_edgelist
+from .graphs import LabeledGraph, Matching, iter_matchings, write_edgelist
+
+# Unused here, but kept bound: perfbench/spans.py wraps this attribute of this module.
+from .graphs import make_graph  # noqa: F401
 
 DEFAULT_MATCHING_CAP = 200_000
 
@@ -42,6 +45,8 @@ def capped_matchings(
     Bit i of a mask stands for ``G.edges[i]``, so two matchings are
     edge-disjoint exactly when their masks AND to zero. Raises
     :class:`KneserSizeError` as soon as the count passes ``cap``.
+    Callers rely on the order: the Kneser edge list comes out sorted, and
+    ``certify_family`` finds matchings by bisection.
     """
 
     bits = {e: 1 << i for i, e in enumerate(G.edges)}
@@ -72,6 +77,7 @@ def build_matching_kneser(G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_C
         raise ParameterError("matching size r must be at least 1")
     matchings, masks = capped_matchings(G, r, cap)
     n = len(matchings)
+    # (i, j) with i < j, each once, in lexicographic order: already canonical.
     pairs = []
     for i in range(n):
         left = masks[i]
@@ -80,7 +86,7 @@ def build_matching_kneser(G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_C
         host=G,
         r=r,
         matchings=tuple(matchings),
-        graph=make_graph(n, pairs),
+        graph=LabeledGraph(n=n, edges=tuple(pairs)),
     )
 
 

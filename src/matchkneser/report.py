@@ -124,29 +124,24 @@ def gap_report(
     G: LabeledGraph,
     r: int,
     instance: str = "",
-    chi_certificate: ChiCertificate | None = None,
     time_budget: float | None = None,
     deadline: Deadline | None = None,
     kneser_cap: int = DEFAULT_MATCHING_CAP,
 ) -> GapReport:
     """Solve one instance end to end and report the gap.
 
-    chi comes from ``chi_certificate`` when the caller already certified it
-    (the family pipeline does); otherwise the matching Kneser graph is built
-    and solved directly. Timeouts and cap overruns degrade to UNKNOWN
-    instead of failing.
+    chi comes from building and solving the matching Kneser graph directly.
+    Timeouts and cap overruns degrade to UNKNOWN instead of failing.
     """
 
     deadline = ensure_deadline(deadline, time_budget)
     label = instance or f"graph(n={G.n},m={G.m})"
     deletion = min_deletion_set(G, r, deadline=deadline)
-    chi_cert = chi_certificate
-    if chi_cert is None:
-        try:
-            mkg = build_matching_kneser(G, r, cap=kneser_cap)
-            chi_cert = chromatic_number(mkg.graph, deadline=deadline)
-        except (KneserSizeError, SearchTimeout):
-            chi_cert = None
+    try:
+        mkg = build_matching_kneser(G, r, cap=kneser_cap)
+        chi_cert = chromatic_number(mkg.graph, deadline=deadline)
+    except (KneserSizeError, SearchTimeout):
+        chi_cert = None
     return assemble_report(label, r, G, deletion, chi_cert)
 
 

@@ -101,6 +101,24 @@ def test_negative_kneser_cap_is_usage_error(petersen_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "--family", "petersen", "--format", "json"],
+        ["gen", "--family", "petersen", "--timeout", "5"],
+        ["gen", "--family", "petersen", "--kneser-cap", "5"],
+        ["kneser", "--in", "g.edges", "--r", "5", "--out", "g", "--format", "json"],
+        ["kneser", "--in", "g.edges", "--r", "5", "--out", "g", "--timeout", "5"],
+        ["chi", "--in", "g.edges", "--kneser-cap", "5"],
+        ["turan", "--in", "g.edges", "--r", "5", "--kneser-cap", "5"],
+        ["verify", "petersen", "--kneser-cap", "5"],
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_usage_error(args, capsys):
+    assert main(args) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_kneser_files(petersen_file, tmp_path, capsys):
     base = tmp_path / "pmkg"
     assert main(["kneser", "--in", str(petersen_file), "--r", "5", "--out", str(base)]) == EXIT_OK

@@ -1,5 +1,7 @@
 """Exact coloring solver: certificates, brute-force agreement, closed form."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -139,3 +141,31 @@ def test_certificate_json_shape():
     assert payload["k"] == 4
     assert payload["witness"]["kind"] == "CLIQUE"
     assert len(payload["coloring"]) == 4
+
+
+class _TripOnSecondCheck(Deadline):
+    """No time limit until the second check, which raises: a timeout inside the search."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.checks = 0
+
+    def check(self, what="search"):
+        self.checks += 1
+        if self.checks > 1:
+            raise SearchTimeout(what)
+
+
+def test_search_leaves_the_recursion_limit_alone():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert is_k_colorable(petersen(), 3) is not None
+        assert sys.getrecursionlimit() == 1000
+        assert chromatic_number(kneser_graph(7, 2)).k == 5
+        assert sys.getrecursionlimit() == 1000
+        with pytest.raises(SearchTimeout):
+            is_k_colorable(kneser_graph(9, 3), 4, deadline=_TripOnSecondCheck())
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)

@@ -66,6 +66,35 @@ def test_forward_map_detects_missing_pair_edges():
         forward_map(foreign, FamilyParams(3, 2, 1))
 
 
+def _forward_outcome(fn, matching, params):
+    try:
+        return fn(matching, params)
+    except VerificationError:
+        return VerificationError
+
+
+def _forward_reference(matching, p):
+    """The forward map as a scan over every pair edge x_i y_i."""
+
+    indices = [i for i in range(1, p.l + 1) if p.x_edge(i) in matching]
+    if len(indices) < p.r - p.t:
+        raise VerificationError("too few matched-pair edges")
+    return tuple(indices[: p.r - p.t])
+
+
+@pytest.mark.parametrize("grid", THEOREM2_GRID)
+def test_forward_map_matches_pair_edge_scan(grid):
+    params = FamilyParams(*grid)
+    matchings, _ = capped_matchings(gap_graph(params), params.r)
+    # Canonical matchings, plus reordered, flipped and repeated edges.
+    inputs = [((0, 9), (1, 10), (3, 12))]
+    for mt in matchings:
+        inputs += [mt, mt[::-1], tuple((v, u) for u, v in mt), mt + mt[:1]]
+    for mt in inputs:
+        expected = _forward_outcome(_forward_reference, mt, params)
+        assert _forward_outcome(forward_map, mt, params) == expected
+
+
 def test_backward_map_examples():
     assert backward_map((1, 2), P311) == ((0, 9), (1, 10), (3, 12))
     assert backward_map((1, 3), P311) == ((0, 9), (2, 11), (4, 12))
@@ -128,6 +157,19 @@ def test_certification_internals():
     for a, b in combinations(range(len(subsets)), 2):
         if not set(subsets[a]) & set(subsets[b]):
             assert not set(images[a]) & set(images[b])
+
+
+def test_backward_map_sharing_a_hub_edge_is_refused(monkeypatch):
+    # Every subset takes the w-block of rank 1: the images stay injective and
+    # round-trip, but disjoint subsets now share the hub edge w_1 z_1.
+    def rank_one(subset, p):
+        edges = [p.x_edge(i) for i in sorted(subset)]
+        edges += [(p.w_vertex(j), p.z_vertex(j)) for j in range(1, p.t + 1)]
+        return tuple(sorted(edges))
+
+    monkeypatch.setattr(homcert, "backward_map", rank_one)
+    with pytest.raises(VerificationError, match="not a homomorphism"):
+        certify_family(FamilyParams(3, 2, 1))
 
 
 def test_pulled_back_coloring_is_proper():

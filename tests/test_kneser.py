@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from matchkneser import (
+    FamilyParams,
     KneserSizeError,
     ParameterError,
     build_matching_kneser,
+    gap_graph,
+    gap_tree,
     kneser_graph,
     make_graph,
     matching_graph,
@@ -75,6 +78,26 @@ def test_kneser_equals_matching_kneser_of_matching_graph(l, r):
     # vertex-for-vertex: matching i uses exactly the pairs named by subset i
     for subset, matching in zip(r_subsets(l, r), via_matchings.matchings):
         assert subset == tuple(u // 2 + 1 for u, _ in matching)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_matching_kneser(petersen(), 5).graph,
+        lambda: build_matching_kneser(gap_graph(FamilyParams(3, 2, 1)), 3).graph,
+        lambda: build_matching_kneser(gap_graph(FamilyParams(4, 2, 2)), 4).graph,
+        lambda: build_matching_kneser(gap_tree(4, 1), 4).graph,
+        lambda: kneser_graph(7, 3),
+    ],
+    ids=["petersen-r5", "gap(3,2,1)", "gap(4,2,2)", "gap_tree(4,1)", "K(7,3)"],
+)
+def test_kneser_edge_list_is_canonical_as_built(build):
+    # build_matching_kneser skips make_graph; its edge list must already be
+    # what make_graph would make of it.
+    graph = build()
+    assert graph == make_graph(graph.n, graph.edges)
+    assert all(u < v for u, v in graph.edges)
+    assert all(a < b for a, b in zip(graph.edges, graph.edges[1:]))
 
 
 @settings(max_examples=40, deadline=None)
