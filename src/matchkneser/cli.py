@@ -76,9 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Each subcommand takes only the flags its runner reads, so a flag it
     # would ignore is a usage error instead.
+    def add_timeout_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--timeout", type=float, default=timeout, metavar="SECONDS")
+
     def add_solve_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
-        p.add_argument("--timeout", type=float, default=timeout, metavar="SECONDS")
+        add_timeout_flag(p)
 
     def add_cap_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--kneser-cap", type=_matching_cap, default=DEFAULT_MATCHING_CAP, metavar="N")
@@ -95,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     kne.add_argument("--in", dest="infile", type=Path, required=True)
     kne.add_argument("--r", type=int, required=True)
     kne.add_argument("--out", type=Path, required=True, help="base path for .edges/.matchings files")
+    add_timeout_flag(kne)
     add_cap_flag(kne)
 
     chi = sub.add_parser("chi", help="exact chromatic number of a graph file")
@@ -165,7 +169,7 @@ def _run_gen(args: argparse.Namespace) -> int:
 
 def _run_kneser(args: argparse.Namespace) -> int:
     G = read_edgelist(args.infile)
-    mkg = build_matching_kneser(G, args.r, cap=args.kneser_cap)
+    mkg = build_matching_kneser(G, args.r, cap=args.kneser_cap, deadline=Deadline(args.timeout))
     graph_path, sidecar_path = write_kneser_files(mkg, args.out)
     print(f"wrote {graph_path} ({mkg.graph.n} vertices, {mkg.graph.m} edges) and {sidecar_path}")
     return EXIT_OK

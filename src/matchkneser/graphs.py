@@ -223,39 +223,62 @@ def make_matching(G: LabeledGraph, edges: Iterable[tuple[int, int]]) -> Matching
     return tuple(canon)
 
 
-def iter_matchings(G: LabeledGraph, r: int) -> Iterator[Matching]:
-    """Yield every r-matching of G in lexicographic order of sorted edge lists.
+def matching_blocks(G: LabeledGraph, r: int) -> Iterator[tuple[list[Matching], list[int]]]:
+    """Every r-matching of G with its edge-index bitmask, in lexicographic order.
 
-    Ordered backtracking over the canonical edge list: each chosen edge is
-    strictly larger than the previous one, which makes the output sorted and
-    duplicate-free by construction.
+    Bit i of a mask stands for ``G.edges[i]``. A depth-first search keeps
+    ``later[i]``, the mask of the edges after i that share no endpoint with
+    edge i, takes the lowest available bit first and recurses on
+    ``avail & later[i]``; so each matching lists its edges in increasing
+    order, and the matchings come in lexicographic order of their edge
+    tuples (not in the integer order of their masks). A branch with fewer
+    available edges than it still needs is cut. Each yielded block holds,
+    in order, the non-empty run of matchings that share their first r - 1
+    edges, as two parallel lists: the matchings (the prefix tuple plus one
+    edge) and their masks.
     """
 
     if r < 1:
         raise ParameterError("matching size r must be at least 1")
     edges = G.edges
     m = len(edges)
-    chosen: list[Edge] = []
-    used: set[int] = set()
+    touching = [0] * G.n
+    for i, (u, v) in enumerate(edges):
+        touching[u] |= 1 << i
+        touching[v] |= 1 << i
+    full = (1 << m) - 1
+    later = [(full >> (i + 1) << (i + 1)) & ~(touching[u] | touching[v]) for i, (u, v) in enumerate(edges)]
+    singles = [(e,) for e in edges]
 
-    def extend(start: int) -> Iterator[Matching]:
-        if len(chosen) == r:
-            yield tuple(chosen)
+    def grow(prefix: Matching, mask: int, avail: int, need: int) -> Iterator[tuple[list[Matching], list[int]]]:
+        # ``avail`` holds at least ``need`` edges.
+        if need == 1:
+            block: list[Matching] = []
+            block_masks: list[int] = []
+            while avail:
+                low = avail & -avail
+                avail ^= low
+                block.append(prefix + singles[low.bit_length() - 1])
+                block_masks.append(mask | low)
+            yield block, block_masks
             return
-        need = r - len(chosen)
-        for i in range(start, m - need + 1):
-            u, v = edges[i]
-            if u in used or v in used:
-                continue
-            chosen.append(edges[i])
-            used.add(u)
-            used.add(v)
-            yield from extend(i + 1)
-            chosen.pop()
-            used.discard(u)
-            used.discard(v)
+        while avail.bit_count() >= need:
+            low = avail & -avail
+            avail ^= low
+            i = low.bit_length() - 1
+            rest = avail & later[i]
+            if rest.bit_count() >= need - 1:
+                yield from grow(prefix + singles[i], mask | low, rest, need - 1)
 
-    yield from extend(0)
+    if m >= r:
+        yield from grow((), 0, full, r)
+
+
+def iter_matchings(G: LabeledGraph, r: int) -> Iterator[Matching]:
+    """Yield every r-matching of G in lexicographic order of sorted edge lists."""
+
+    for block, _ in matching_blocks(G, r):
+        yield from block
 
 
 def enumerate_matchings(G: LabeledGraph, r: int) -> list[Matching]:
@@ -267,9 +290,7 @@ def enumerate_matchings(G: LabeledGraph, r: int) -> list[Matching]:
 def first_matching(G: LabeledGraph, r: int) -> Matching | None:
     """The lexicographically first r-matching of G, or None."""
 
-    for matching in iter_matchings(G, r):
-        return matching
-    return None
+    return next(iter_matchings(G, r), None)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations, compress, repeat
 from math import comb
+from operator import mul
 from typing import Any, Sequence
 
 from .coloring import ChiCertificate, chromatic_number, lovasz_chi
@@ -165,28 +167,30 @@ def hom_witness_lines(witness: HomWitness) -> list[str]:
     ]
 
 
-def disjoint_pair_count(masks: Sequence[int], deadline: Deadline) -> int:
-    """The number of ordered pairs (a, b) of ``masks`` with ``a & b == 0``.
+def disjoint_pair_count(matchings: Sequence[Matching], deadline: Deadline) -> int:
+    """The number of ordered pairs (a, b) of ``matchings`` that share no edge.
 
-    Let cnt[A] be the number of masks that contain the sub-mask A. By
-    inclusion-exclusion, the masks disjoint from a number the sum over
-    A within a of (-1)^|A| cnt[A]. Summing over every a counts each A once
-    per mask that contains it, so the total is the sum over all A of
-    (-1)^|A| cnt[A]^2. Each r-bit mask costs 2^r table updates, not one
-    test per pair.
+    Every matching must be canonical, its edges sorted, so that the same set
+    of edges is always the same tuple. Let cnt[A] be the number of matchings
+    that contain the sub-matching A. By inclusion-exclusion, the matchings
+    disjoint from a number the sum over A within a of (-1)^|A| cnt[A].
+    Summing over every a counts each A once per matching that contains it,
+    so the total is the sum over all A of (-1)^|A| cnt[A]^2. The sum runs
+    one size j at a time: the j-edge sub-matchings of a sorted matching are
+    its j-combinations, which come out sorted, so one Counter over them is
+    cnt at size j, and only one size is held at a time.
     """
 
-    cnt: Counter[int] = Counter()
-    for start in range(0, len(masks), _DEADLINE_STRIDE):
-        deadline.check("pulled-back coloring check")
-        for mask in masks[start:start + _DEADLINE_STRIDE]:
-            subs = [0]
-            while mask:
-                low = mask & -mask
-                subs += [sub | low for sub in subs]
-                mask ^= low
-            cnt.update(subs)
-    return sum(-c * c if sub.bit_count() & 1 else c * c for sub, c in cnt.items())
+    total = len(matchings) ** 2  # A empty: every matching contains it
+    for j in range(1, max(map(len, matchings), default=0) + 1):
+        cnt: Counter[Matching] = Counter()
+        for start in range(0, len(matchings), _DEADLINE_STRIDE):
+            deadline.check("pulled-back coloring check")
+            chunk = matchings[start:start + _DEADLINE_STRIDE]
+            cnt.update(chain.from_iterable(map(combinations, chunk, repeat(j))))
+        squares = sum(map(mul, cnt.values(), cnt.values()))
+        total += -squares if j & 1 else squares
+    return total
 
 
 def certify_family(
@@ -231,14 +235,23 @@ def certify_family(
 
     subsets = r_subsets(p.l, p.r - p.t)
     subset_index = {s: i for i, s in enumerate(subsets)}
-    forward_idx = tuple(subset_index[forward_map(mt, p)] for mt in matchings)
-    pulled_coloring = tuple(small_cert.coloring[f] for f in forward_idx)
+    # forward_map reads only the pair edges x_i y_i, so a matching's image
+    # depends only on ``mask & pair_bits``: it is computed once per key, on
+    # the first matching with that key, which is also the first matching on
+    # which forward_map could raise.
+    pair_edges = {p.x_edge(i) for i in range(1, p.l + 1)}
+    pair_bits = sum(1 << i for i, e in enumerate(G.edges) if e in pair_edges)
+    index_of: dict[int, int] = {}
+    for matching, mask in zip(matchings, masks):
+        key = mask & pair_bits
+        if key not in index_of:
+            index_of[key] = subset_index[forward_map(matching, p)]
+    forward_idx = tuple(index_of[mask & pair_bits] for mask in masks)
+    pulled_coloring = tuple(map(small_cert.coloring.__getitem__, forward_idx))
 
     # Propriety of the pulled-back coloring, one color class at a time.
-    classes: list[list[int]] = [[] for _ in range(small_cert.k)]
-    for mask, color in zip(masks, pulled_coloring):
-        classes[color].append(mask)
-    for color, members in enumerate(classes):
+    for color in range(small_cert.k):
+        members = list(compress(matchings, map(color.__eq__, pulled_coloring)))
         if disjoint_pair_count(members, deadline):
             raise VerificationError(
                 f"pulled-back coloring is improper: color class {color} "

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from .errors import KneserSizeError, ParameterError
+from .errors import Deadline, KneserSizeError, ParameterError, ensure_deadline
 from .families import matching_graph
-from .graphs import LabeledGraph, Matching, iter_matchings, write_edgelist
+from .graphs import LabeledGraph, Matching, matching_blocks, write_edgelist
 
-# Unused here, but kept bound: perfbench/spans.py wraps this attribute of this module.
-from .graphs import make_graph  # noqa: F401
+# Unused here, but kept bound: perfbench/spans.py wraps these attributes of this module.
+from .graphs import iter_matchings, make_graph  # noqa: F401
 
 DEFAULT_MATCHING_CAP = 200_000
 
@@ -44,42 +44,46 @@ def capped_matchings(
 
     Bit i of a mask stands for ``G.edges[i]``, so two matchings are
     edge-disjoint exactly when their masks AND to zero. Raises
-    :class:`KneserSizeError` as soon as the count passes ``cap``.
+    :class:`KneserSizeError` as soon as a block of
+    :func:`~matchkneser.graphs.matching_blocks` (at most m matchings) takes
+    the count past ``cap``.
     Callers rely on the order: the Kneser edge list comes out sorted, and
     ``certify_family`` finds matchings by bisection.
     """
 
-    bits = {e: 1 << i for i, e in enumerate(G.edges)}
     matchings: list[Matching] = []
     masks: list[int] = []
-    for matching in iter_matchings(G, r):
-        if len(matchings) >= cap:
+    for block, block_masks in matching_blocks(G, r):
+        matchings += block
+        masks += block_masks
+        if len(matchings) > cap:
             raise KneserSizeError(
                 f"matching Kneser graph of ({G.n} vertices, r={r}) has more than "
-                f"{cap} vertices (enumeration stopped at {len(matchings) + 1})"
+                f"{cap} vertices (enumeration stopped at {cap + 1})"
             )
-        mask = 0
-        for e in matching:
-            mask |= bits[e]
-        matchings.append(matching)
-        masks.append(mask)
     return matchings, masks
 
 
-def build_matching_kneser(G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_CAP) -> MatchingKneserGraph:
+def build_matching_kneser(
+    G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_CAP, deadline: Deadline | None = None
+) -> MatchingKneserGraph:
     """Construct the matching Kneser graph of G at size r.
 
     Refuses with :class:`KneserSizeError` when the number of r-matchings
     exceeds ``cap``; enumeration is aborted as soon as the cap is crossed.
+    The O(N^2) pair loop checks ``deadline`` once per row and raises
+    :class:`SearchTimeout` when it has expired.
     """
 
     if r < 1:
         raise ParameterError("matching size r must be at least 1")
+    deadline = ensure_deadline(deadline, None)
     matchings, masks = capped_matchings(G, r, cap)
     n = len(matchings)
     # (i, j) with i < j, each once, in lexicographic order: already canonical.
     pairs = []
     for i in range(n):
+        deadline.check("matching Kneser construction")
         left = masks[i]
         pairs.extend((i, j) for j in range(i + 1, n) if not left & masks[j])
     return MatchingKneserGraph(

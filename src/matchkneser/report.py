@@ -138,7 +138,7 @@ def gap_report(
     label = instance or f"graph(n={G.n},m={G.m})"
     deletion = min_deletion_set(G, r, deadline=deadline)
     try:
-        mkg = build_matching_kneser(G, r, cap=kneser_cap)
+        mkg = build_matching_kneser(G, r, cap=kneser_cap, deadline=deadline)
         chi_cert = chromatic_number(mkg.graph, deadline=deadline)
     except (KneserSizeError, SearchTimeout):
         chi_cert = None

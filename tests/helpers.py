@@ -12,18 +12,40 @@ from itertools import combinations
 import networkx as nx
 from hypothesis import strategies as st
 
-from matchkneser import LabeledGraph, Matching, make_graph
+from matchkneser import Deadline, LabeledGraph, Matching, SearchTimeout, make_graph
+
+
+# The prescribed-gap grid of scripts/gap_survey.py at its defaults (r = 3..5,
+# theta = 1..3, 1 <= gamma <= r - 2), without gap(5,3,1) and gap(5,3,2),
+# which have more r-matchings than the default matching cap.
+SURVEY_GRID = tuple(
+    (r, theta, gamma)
+    for r in range(3, 6)
+    for theta in range(1, 4)
+    for gamma in range(1, r - 1)
+    if (r, theta, gamma) not in ((5, 3, 1), (5, 3, 2))
+)
 
 
 def brute_force_matchings(G: LabeledGraph, r: int) -> list[Matching]:
-    """All r-matchings by filtering every C(m, r) edge subset for disjointness."""
+    """All r-matchings: the edge subsets whose edges are pairwise vertex-disjoint.
 
-    found = []
-    for combo in combinations(G.edges, r):
-        vertices = [v for e in combo for v in e]
-        if len(set(vertices)) == 2 * r:
-            found.append(tuple(combo))
-    return sorted(found)
+    Subsets are grown one edge at a time in edge-list order, each with the
+    set of vertices it covers, and a subset is kept only while its edges are
+    disjoint. A subset of a matching is a matching, so this finds the same
+    subsets as filtering all C(m, r) of them, without visiting the ones
+    that already fail on a prefix.
+    """
+
+    grown: list[tuple[Matching, frozenset[int], int]] = [((), frozenset(), 0)]
+    for _ in range(r):
+        grown = [
+            (combo + (e,), used | set(e), i + 1)
+            for combo, used, start in grown
+            for i, e in enumerate(G.edges[start:], start)
+            if e[0] not in used and e[1] not in used
+        ]
+    return sorted(combo for combo, _, _ in grown)
 
 
 def brute_force_matching_number(G: LabeledGraph) -> int:
@@ -144,3 +166,17 @@ def graphs(draw, min_n: int = 1, max_n: int = 8, max_m: int = 12):
         return make_graph(n, [])
     edges = draw(st.lists(st.sampled_from(pairs), max_size=max_m, unique=True))
     return make_graph(n, edges)
+
+
+class CountingDeadline(Deadline):
+    """No time limit; records each check's stage and raises once ``limit`` checks have passed."""
+
+    def __init__(self, limit=None):
+        super().__init__(None)
+        self.limit = limit
+        self.stages = []
+
+    def check(self, what="search"):
+        if self.limit is not None and len(self.stages) >= self.limit:
+            raise SearchTimeout(f"{what} stopped after {self.limit} checks")
+        self.stages.append(what)

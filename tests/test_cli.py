@@ -1,9 +1,14 @@
 """CLI driver: subcommands, formats, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matchkneser
 from matchkneser import make_graph, write_edgelist
 from matchkneser.cli import EXIT_FAILED, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main
 
@@ -108,7 +113,7 @@ def test_negative_kneser_cap_is_usage_error(petersen_file, capsys):
         ["gen", "--family", "petersen", "--timeout", "5"],
         ["gen", "--family", "petersen", "--kneser-cap", "5"],
         ["kneser", "--in", "g.edges", "--r", "5", "--out", "g", "--format", "json"],
-        ["kneser", "--in", "g.edges", "--r", "5", "--out", "g", "--timeout", "5"],
+        ["kneser", "--in", "g.edges", "--r", "5", "--out", "g", "--theta", "5"],
         ["chi", "--in", "g.edges", "--kneser-cap", "5"],
         ["turan", "--in", "g.edges", "--r", "5", "--kneser-cap", "5"],
         ["verify", "petersen", "--kneser-cap", "5"],
@@ -152,6 +157,19 @@ def test_timeout_from_environment(petersen_file, monkeypatch, capsys):
     assert "timeout" in capsys.readouterr().err
 
 
+def test_kneser_timeout(petersen_file, tmp_path, monkeypatch, capsys):
+    base = str(tmp_path / "pmkg")
+    assert main(["kneser", "--in", str(petersen_file), "--r", "5", "--out", base, "--timeout", "-1"]) == EXIT_UNKNOWN
+    assert "timeout: matching Kneser construction" in capsys.readouterr().err
+    monkeypatch.setenv("MATCHKNESER_TIMEOUT", "-1")
+    assert main(["kneser", "--in", str(petersen_file), "--r", "5", "--out", base]) == EXIT_UNKNOWN
+    assert "timeout: matching Kneser construction" in capsys.readouterr().err
+    assert not (tmp_path / "pmkg.edges").exists()
+    monkeypatch.setenv("MATCHKNESER_TIMEOUT", "abc")
+    assert main(["kneser", "--in", str(petersen_file), "--r", "5", "--out", base]) == EXIT_USAGE
+    assert "MATCHKNESER_TIMEOUT" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("raw", ["abc", "nan", ""])
 def test_malformed_timeout_environment_is_usage_error(raw, monkeypatch, capsys):
     monkeypatch.setenv("MATCHKNESER_TIMEOUT", raw)
@@ -165,6 +183,19 @@ def test_usage_errors(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["chi"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    assert main(["verify", "lovasz"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    src = str(Path(matchkneser.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "matchkneser", "verify", "lovasz"],
+        capture_output=True, env=env, timeout=300, check=False,
+    )
+    assert done.returncode == EXIT_OK
+    assert done.stdout == expected.encode()
 
 
 def test_outputs_are_reproducible(capsys):

@@ -1,12 +1,15 @@
 """Graph core: construction, predicates, matching enumeration, matching number."""
 
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
 
 from matchkneser import (
     GraphConstructionError,
+    KneserSizeError,
     ParameterError,
     bipartition,
     enumerate_matchings,
@@ -27,8 +30,9 @@ from matchkneser import (
 )
 from matchkneser.graphs import edgelist_lines, parse_edgelist
 from matchkneser.families import gap_graph, gap_tree, FamilyParams, matching_graph
+from matchkneser.kneser import capped_matchings
 
-from helpers import brute_force_matchings, brute_force_matching_number, graphs, to_networkx
+from helpers import SURVEY_GRID, brute_force_matchings, brute_force_matching_number, graphs, to_networkx
 
 import networkx as nx
 
@@ -118,11 +122,38 @@ def test_enumerate_matchings_examples():
         enumerate_matchings(P4, 0)
 
 
+def check_enumerator(G, r):
+    """capped_matchings against the brute-force oracle, its masks, its cap, and first_matching."""
+
+    matchings, masks = capped_matchings(G, r)
+    assert matchings == brute_force_matchings(G, r)  # same matchings, same order
+    bit = {e: 1 << i for i, e in enumerate(G.edges)}
+    assert masks == [reduce(or_, (bit[e] for e in mt)) for mt in matchings]
+    n = len(matchings)
+    assert capped_matchings(G, r, cap=n) == (matchings, masks)
+    if n:
+        with pytest.raises(KneserSizeError, match=rf"\(enumeration stopped at {n}\)$"):
+            capped_matchings(G, r, cap=n - 1)
+        assert first_matching(G, r) == enumerate_matchings(G, r)[0]
+    else:
+        assert first_matching(G, r) is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_enumeration_completeness(G):
     for r in range(1, 5):
         assert enumerate_matchings(G, r) == brute_force_matchings(G, r)
+        check_enumerator(G, r)
+
+
+@pytest.mark.parametrize(
+    "host, r",
+    [(petersen(), 5), (gap_tree(5, 1), 5)] + [(gap_graph(FamilyParams(*grid)), grid[0]) for grid in SURVEY_GRID],
+    ids=["petersen-r5", "gap_tree(5,1)"] + [f"gap{grid}" for grid in SURVEY_GRID],
+)
+def test_enumerator_on_named_hosts(host, r):
+    check_enumerator(host, r)
 
 
 @settings(max_examples=60, deadline=None)

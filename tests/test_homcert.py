@@ -24,6 +24,7 @@ from matchkneser import (
     kneser_graph,
     make_graph,
     petersen,
+    r_subsets,
     verify_homomorphism,
 )
 from matchkneser import homcert
@@ -31,6 +32,8 @@ from matchkneser.coloring import check_coloring
 from matchkneser.homcert import disjoint_pair_count, find_violation, hom_witness_lines
 from matchkneser.kneser import capped_matchings
 from matchkneser.verify import THEOREM2_GRID
+
+from helpers import SURVEY_GRID, CountingDeadline
 
 P311 = FamilyParams(3, 1, 1)
 
@@ -93,6 +96,39 @@ def test_forward_map_matches_pair_edge_scan(grid):
     for mt in inputs:
         expected = _forward_outcome(_forward_reference, mt, params)
         assert _forward_outcome(forward_map, mt, params) == expected
+
+
+@pytest.mark.parametrize("grid", sorted(set(THEOREM2_GRID) | set(SURVEY_GRID)))
+def test_forward_witness_is_forward_map_of_every_matching(grid):
+    # certify_family calls forward_map once per pair-edge set; the witness
+    # must still be the map itself on every matching.
+    params = FamilyParams(*grid)
+    forward = certify_family(params).forward
+    subsets = r_subsets(params.l, params.r - params.t)
+    subset_index = {s: i for i, s in enumerate(subsets)}
+    assert forward.target_desc == tuple(subsets)
+    assert forward.source_desc == tuple(capped_matchings(gap_graph(params), params.r)[0])
+    assert forward.mapping == tuple(subset_index[forward_map(mt, params)] for mt in forward.source_desc)
+
+
+def test_forward_map_failure_stops_certification(monkeypatch):
+    params = FamilyParams(3, 2, 1)
+    last = r_subsets(params.l, params.r - params.t)[-1]
+    real = homcert.forward_map
+
+    def failing(matching, p):
+        image = real(matching, p)
+        if image == last:
+            raise VerificationError(f"planted failure at {matching}")
+        return image
+
+    def unreachable(subset, p):
+        raise AssertionError("the forward map is checked before the backward map")
+
+    monkeypatch.setattr(homcert, "forward_map", failing)
+    monkeypatch.setattr(homcert, "backward_map", unreachable)
+    with pytest.raises(VerificationError, match="planted failure"):
+        certify_family(params)
 
 
 def test_backward_map_examples():
@@ -185,22 +221,30 @@ def test_pulled_back_coloring_is_proper():
 @pytest.mark.parametrize("params", [FamilyParams(3, 2, 1), FamilyParams(4, 2, 2), FamilyParams(4, 2, 1)])
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_disjoint_pair_count_against_brute_force(params, k):
-    matchings, masks = capped_matchings(gap_graph(params), params.r)
+    matchings, _ = capped_matchings(gap_graph(params), params.r)
     rng = random.Random(97 * k + params.l)
     color = [rng.randrange(k) for _ in matchings]
     for c in range(k):
-        members = [i for i in range(len(matchings)) if color[i] == c]
-        edge_sets = [set(matchings[i]) for i in members]
+        members = [matchings[i] for i in range(len(matchings)) if color[i] == c]
+        edge_sets = [set(mt) for mt in members]
         brute = sum(2 for a, b in combinations(edge_sets, 2) if a.isdisjoint(b))
-        assert disjoint_pair_count([masks[i] for i in members], Deadline(None)) == brute
+        assert disjoint_pair_count(members, Deadline(None)) == brute
 
 
 def test_disjoint_pair_count_small_cases():
     assert disjoint_pair_count([], Deadline(None)) == 0
-    assert disjoint_pair_count([0b11, 0b11], Deadline(None)) == 0
-    assert disjoint_pair_count([0b011, 0b100, 0b110], Deadline(None)) == 2
-    matchings, masks = capped_matchings(gap_graph(FamilyParams(3, 2, 1)), 3)
-    assert disjoint_pair_count(masks, Deadline(None)) == 804
+    assert disjoint_pair_count([(0, 1), (0, 1)], Deadline(None)) == 0
+    assert disjoint_pair_count([(0, 1), (2,), (1, 2)], Deadline(None)) == 2
+    matchings, _ = capped_matchings(gap_graph(FamilyParams(3, 2, 1)), 3)
+    assert disjoint_pair_count(matchings, Deadline(None)) == 804
+
+
+def test_disjoint_pair_count_mixed_sizes():
+    # Sorted tuples of 1 to 5 elements: every size j from 1 to 5 contributes.
+    rng = random.Random(5)
+    members = [tuple(sorted(rng.sample(range(9), rng.randint(1, 5)))) for _ in range(60)]
+    brute = sum(1 for a in members for b in members if set(a).isdisjoint(b))
+    assert brute and disjoint_pair_count(members, Deadline(None)) == brute
 
 
 def test_improper_pulled_coloring_is_refused(monkeypatch):
@@ -214,20 +258,6 @@ def test_improper_pulled_coloring_is_refused(monkeypatch):
     monkeypatch.setattr(homcert, "chromatic_number", one_color)
     with pytest.raises(VerificationError, match="color class 0"):
         certify_family(params)
-
-
-class CountingDeadline(Deadline):
-    """No time limit; records each check's stage and raises once ``limit`` checks have passed."""
-
-    def __init__(self, limit=None):
-        super().__init__(None)
-        self.limit = limit
-        self.stages = []
-
-    def check(self, what="search"):
-        if self.limit is not None and len(self.stages) >= self.limit:
-            raise SearchTimeout(f"{what} stopped after {self.limit} checks")
-        self.stages.append(what)
 
 
 def test_certify_family_checks_the_deadline_in_every_loop():

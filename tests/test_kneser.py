@@ -9,6 +9,7 @@ from matchkneser import (
     FamilyParams,
     KneserSizeError,
     ParameterError,
+    SearchTimeout,
     build_matching_kneser,
     gap_graph,
     gap_tree,
@@ -20,7 +21,7 @@ from matchkneser import (
 )
 from matchkneser.kneser import matchings_sidecar_lines
 
-from helpers import are_isomorphic, graphs
+from helpers import CountingDeadline, are_isomorphic, graphs
 
 
 def test_single_vertex_kneser():
@@ -120,3 +121,12 @@ def test_sidecar_format():
     lines = matchings_sidecar_lines(mkg)
     assert lines[0] == "0: (0,1) (2,3)"
     assert len(lines) == mkg.graph.n
+
+
+def test_kneser_pair_loop_checks_the_deadline_once_per_row():
+    G = gap_graph(FamilyParams(3, 2, 1))
+    recorder = CountingDeadline()
+    mkg = build_matching_kneser(G, 3, deadline=recorder)
+    assert recorder.stages == ["matching Kneser construction"] * mkg.graph.n
+    with pytest.raises(SearchTimeout, match="matching Kneser construction"):
+        build_matching_kneser(G, 3, deadline=CountingDeadline(limit=5))

@@ -17,6 +17,8 @@ from matchkneser import (
 from matchkneser.coloring import EdgelessWitness
 from matchkneser.report import HOLDS, UNKNOWN, VIOLATED, assemble_report, reports_json, reports_table
 
+from helpers import CountingDeadline
+
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
 
 
@@ -38,6 +40,16 @@ def test_petersen_report():
     rep = gap_report(petersen(), 5, instance="petersen")
     assert (rep.removal_bound, rep.chi, rep.gap) == (3, 1, 2)
     assert rep.verdict == VIOLATED and rep.connected
+
+
+def test_gap_report_passes_its_deadline_to_the_kneser_pair_loop():
+    recorder = CountingDeadline()
+    assert gap_report(petersen(), 5, deadline=recorder).chi == 1
+    assert recorder.stages.count("matching Kneser construction") == 6  # one per Kneser vertex
+    first = recorder.stages.index("matching Kneser construction")
+    stopped = gap_report(petersen(), 5, deadline=CountingDeadline(limit=first))
+    assert stopped.chi is None and stopped.verdict == UNKNOWN
+    assert stopped.removal_bound == 3
 
 
 def test_sequence_report_growth():
