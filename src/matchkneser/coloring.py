@@ -1,10 +1,19 @@
 """Exact graph coloring with verifiable certificates, plus the Kneser closed form.
 
-The k-colorability search is a saturation-guided backtracking (branch on the
-uncolored vertex with the most distinctly colored neighbors, ties by lowest
-index). Color symmetry is broken by only ever trying the colors used so far
-plus one fresh color. A timeout raises :class:`SearchTimeout` so that an
-"unknown" can never masquerade as a proven "no".
+The k-colorability search is DSATUR-style backtracking (Brélaz, CACM 1979):
+branch on the uncolored vertex with the most distinctly colored neighbors,
+ties by lowest index. It runs on the graph's neighbor bitmasks
+(``LabeledGraph.adj_masks``, built once per graph and shared by every k of
+the iterative deepening, the greedy clique and the coloring check) and keeps
+its state as bitsets too, in the manner of San Segundo (Computers & OR
+2012): ``level[s]`` holds the uncolored vertices of saturation s and
+``seen[c]`` the vertices with a neighbor colored c. The branch vertex is
+the lowest bit of the highest non-empty level, and coloring a vertex moves
+its neighbors that had not seen the color up one level, so a search node
+costs O(k) mask operations instead of a scan of all n vertices. Color
+symmetry is broken by only ever trying the colors used so far plus one
+fresh color. A timeout raises :class:`SearchTimeout` so that an "unknown"
+can never masquerade as a proven "no".
 """
 
 from __future__ import annotations
@@ -78,30 +87,29 @@ class ChiCertificate:
 
 
 def check_coloring(H: LabeledGraph, coloring: tuple[int, ...], k: int) -> None:
-    """Raise :class:`VerificationError` unless ``coloring`` is proper and uses exactly k colors."""
+    """Raise :class:`VerificationError` unless ``coloring`` is proper and uses exactly k colors.
+
+    Every vertex is tested against the mask of its own color class; only a
+    failure goes back to the edge list, to name the first monochromatic edge.
+    """
 
     if len(coloring) != H.n:
         raise VerificationError(f"coloring covers {len(coloring)} of {H.n} vertices")
     used = set(coloring)
     if H.n and (used != set(range(k))):
         raise VerificationError(f"coloring uses colors {sorted(used)}, expected exactly 0..{k - 1}")
-    for u, v in H.edges:
-        if coloring[u] == coloring[v]:
-            raise VerificationError(f"edge ({u}, {v}) is monochromatic in color {coloring[u]}")
-
-
-def _adjacency_masks(H: LabeledGraph) -> list[int]:
-    masks = [0] * H.n
-    for u, v in H.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+    classes = [0] * k
+    for v, c in enumerate(coloring):
+        classes[c] |= 1 << v
+    if any(adj & classes[c] for adj, c in zip(H.adj_masks, coloring)):
+        u, v = next((u, v) for u, v in H.edges if coloring[u] == coloring[v])
+        raise VerificationError(f"edge ({u}, {v}) is monochromatic in color {coloring[u]}")
 
 
 def greedy_clique(H: LabeledGraph) -> tuple[int, ...]:
     """Greedy clique along a degree-descending vertex order (ties by index)."""
 
-    adj = _adjacency_masks(H)
+    adj = H.adj_masks
     order = sorted(range(H.n), key=lambda v: (-adj[v].bit_count(), v))
     clique: list[int] = []
     mask = 0
@@ -112,12 +120,15 @@ def greedy_clique(H: LabeledGraph) -> tuple[int, ...]:
     return tuple(sorted(clique))
 
 
-def _search_k_coloring(n: int, adj: list[int], k: int, deadline: Deadline) -> list[int] | None:
+def _search_k_coloring(n: int, adj: tuple[int, ...], k: int, deadline: Deadline) -> list[int] | None:
     """Backtracking k-colorability core; None means proven uncolorable."""
 
     color = [-1] * n
-    neighbor_colors = [0] * n  # per-vertex bitmask of colors on colored neighbors
-    full = (1 << k) - 1
+    # level[s]: the uncolored vertices with s distinct colors among their
+    # neighbors; seen[c]: the vertices with a neighbor colored c.
+    level = [0] * (k + 1)
+    level[0] = (1 << n) - 1
+    seen = [0] * k
     counter = [0]
 
     def descend(colored: int, used: int) -> bool:
@@ -126,37 +137,38 @@ def _search_k_coloring(n: int, adj: list[int], k: int, deadline: Deadline) -> li
             deadline.check("k-coloring search")
         if colored == n:
             return True
-        pick, pick_sat = -1, -1
-        for v in range(n):
-            if color[v] == -1:
-                sat = neighbor_colors[v].bit_count()
-                if sat > pick_sat:
-                    pick, pick_sat = v, sat
-                    if sat >= k:
-                        break
-        v = pick
-        if neighbor_colors[v] == full:
+        # No vertex sees more colors than are in use.
+        s = min(used, k)
+        while not level[s]:
+            s -= 1
+        if s == k:
             return False
-        tryable = ~neighbor_colors[v] & ((1 << min(k, used + 1)) - 1)
-        while tryable:
-            bit = tryable & -tryable
-            tryable ^= bit
-            c = bit.bit_length() - 1
+        pick = level[s] & -level[s]
+        v = pick.bit_length() - 1
+        level[s] ^= pick
+        top = min(used, k - 1)
+        for c in range(min(k, used + 1)):
+            if seen[c] & pick:
+                continue
             color[v] = c
-            touched = []
-            rest = adj[v]
-            while rest:
-                ubit = rest & -rest
-                rest ^= ubit
-                u = ubit.bit_length() - 1
-                if color[u] == -1 and not neighbor_colors[u] & bit:
-                    neighbor_colors[u] |= bit
-                    touched.append(u)
+            new = adj[v] & ~seen[c]
+            seen[c] |= new
+            # Neighbors that had not seen c go up one level, top level first.
+            for t in range(top, -1, -1):
+                moved = level[t] & new
+                if moved:
+                    level[t] ^= moved
+                    level[t + 1] |= moved
             if descend(colored + 1, max(used, c + 1)):
                 return True
-            for u in touched:
-                neighbor_colors[u] ^= bit
-            color[v] = -1
+            for t in range(top + 1):
+                moved = level[t + 1] & new
+                if moved:
+                    level[t + 1] ^= moved
+                    level[t] |= moved
+            seen[c] ^= new
+        color[v] = -1
+        level[s] |= pick
         return False
 
     # The recursion goes one level per vertex; the raised limit is put back
@@ -192,7 +204,7 @@ def is_k_colorable(
         return None
     if H.m == 0:
         return (0,) * H.n
-    result = _search_k_coloring(H.n, _adjacency_masks(H), k, deadline)
+    result = _search_k_coloring(H.n, H.adj_masks, k, deadline)
     return tuple(result) if result is not None else None
 
 

@@ -56,6 +56,15 @@ class LabeledGraph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
 
+    @cached_property
+    def adj_masks(self) -> tuple[int, ...]:
+        """Neighbor bitmasks, indexed by vertex: bit v of ``adj_masks[u]`` is the edge (u, v)."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u

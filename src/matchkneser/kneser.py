@@ -9,8 +9,9 @@ classical Kneser graph K(l, r) on r-subsets of an l-set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count, repeat
 from pathlib import Path
+from typing import Iterator
 
 from .errors import Deadline, KneserSizeError, ParameterError, ensure_deadline
 from .families import matching_graph
@@ -71,27 +72,52 @@ def build_matching_kneser(
 
     Refuses with :class:`KneserSizeError` when the number of r-matchings
     exceeds ``cap``; enumeration is aborted as soon as the cap is crossed.
-    The O(N^2) pair loop checks ``deadline`` once per row and raises
+    Row i of the adjacency is the complement of the union, over the r edges
+    of matching i, of the masks of the matchings using that edge; each row
+    is read into the edge list and dropped, so no N x N store is kept. The
+    row loop checks ``deadline`` once per row and raises
     :class:`SearchTimeout` when it has expired.
     """
 
     if r < 1:
         raise ParameterError("matching size r must be at least 1")
     deadline = ensure_deadline(deadline, None)
-    matchings, masks = capped_matchings(G, r, cap)
+    matchings, _ = capped_matchings(G, r, cap)
     n = len(matchings)
-    # (i, j) with i < j, each once, in lexicographic order: already canonical.
-    pairs = []
-    for i in range(n):
+    index = {e: b for b, e in enumerate(G.edges)}
+    # users[b]: the matchings that contain host edge b, as a mask over vertices.
+    members = [bytearray((n + 7) // 8) for _ in range(G.m)]
+    for i, matching in enumerate(matchings):
+        for e in matching:
+            members[index[e]][i >> 3] |= 1 << (i & 7)
+    users = [int.from_bytes(b, "little") for b in members]
+    full = (1 << n) - 1
+    # Row i holds the matchings sharing no edge with matching i; its bits
+    # above i give the pairs (i, j), i < j, already in lexicographic order.
+    pairs: list[tuple[int, int]] = []
+    for i, matching in enumerate(matchings):
         deadline.check("matching Kneser construction")
-        left = masks[i]
-        pairs.extend((i, j) for j in range(i + 1, n) if not left & masks[j])
+        hit = 0
+        for e in matching:
+            hit |= users[index[e]]
+        above = (full ^ hit) >> (i + 1)
+        if above:
+            pairs.extend(zip(repeat(i), _bit_positions(above, i + 1)))
     return MatchingKneserGraph(
         host=G,
         r=r,
         matchings=tuple(matchings),
         graph=LabeledGraph(n=n, edges=tuple(pairs)),
     )
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_positions(x: int, offset: int) -> Iterator[int]:
+    """``offset + j`` for each set bit j of ``x``, in increasing order."""
+
+    return compress(count(offset), bin(x)[:1:-1].encode().translate(_BIT_BYTES))
 
 
 def r_subsets(l: int, r: int) -> list[tuple[int, ...]]:

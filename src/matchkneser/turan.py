@@ -12,15 +12,18 @@ with its size nu. Deleting a matched edge lowers nu by at most one, and
 ``repair_matching`` restores maximality with at most two augmenting-path
 searches. The same fact gives the bound: at least nu - r + 1 more deletions
 are needed, so a node is pruned once ``|removed| + nu - r + 1`` exceeds the
-best size found. Branch i deletes the i-th branching edge and freezes the
-edges before it (they may not be deleted below), so no deletion set is
-reached twice and no memo of visited sets is needed.
+best size found. A node whose bound equals it can only tie, and is pruned
+too unless its removed edges plus the smallest edges it may still delete
+sort below the best set. Branch i deletes the i-th branching edge and
+freezes the edges before it (they may not be deleted below), so no deletion
+set is reached twice and no memo of visited sets is needed.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
 
 from .coloring import DEFAULT_TIME_BUDGET
@@ -63,9 +66,10 @@ def min_deletion_set(
     """A minimum edge set whose removal leaves G without any r-matching.
 
     Deterministic: ties between equally small deletion sets resolve to the
-    lexicographically least one. Ties with the best size are not pruned and
-    the nu bound never cuts an optimum, so every optimal set is reached. Depth
-    never exceeds the optimum, so the search is cheap whenever the answer is.
+    lexicographically least one. A node that can only tie with the best set
+    is entered only while the least set it could reach sorts below it, so
+    neither bound cuts the lexicographically least optimum. Depth never
+    exceeds the optimum, so the search is cheap whenever the answer is.
     """
 
     if r < 1:
@@ -96,8 +100,17 @@ def min_deletion_set(
                 best_size = len(candidate)
                 best_set = candidate
             return
-        if len(removed) + nu - r + 1 > best_size:
+        bound = len(removed) + nu - r + 1
+        if bound > best_size:
             return
+        if bound == best_size:
+            # Only a tie can come of this node: exactly best_size - |removed|
+            # more deletable edges. Taking the smallest of them bounds every
+            # such set element-wise, hence lexicographically, from below.
+            skip = frozen.union(removed)
+            fill = islice((e for e in G.edges if e not in skip), best_size - len(removed))
+            if tuple(sorted(removed + list(fill))) >= best_set:
+                return
         # Any r edges of the maximum matching form an r-matching that a valid
         # set must meet. Matched frozen edges go first, since their branches
         # are empty; the rest are the lexicographically first matched edges.

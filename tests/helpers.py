@@ -2,11 +2,15 @@
 
 Nothing in here shares code with the solvers under test: matchings are found
 by filtering raw edge subsets, chromatic numbers by exhaustive color
-assignment, isomorphism by backtracking over vertex bijections.
+assignment, isomorphism by backtracking over vertex bijections. The one
+reference that is not brute force, ``reference_k_coloring``, is the
+k-coloring search as it stood before it moved to saturation-level bitsets,
+kept to pin the new search to the same branching order.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import networkx as nx
@@ -82,6 +86,67 @@ def brute_force_chromatic(G: LabeledGraph) -> int:
         if assign(0, k):
             return k
     raise AssertionError("unreachable: n colors always suffice")
+
+
+def reference_k_coloring(G: LabeledGraph, k: int) -> list[int] | None:
+    """The saturation-guided k-coloring search that rescans every vertex per node.
+
+    Branches on the uncolored vertex with the most distinctly colored
+    neighbors (ties by lowest index) and tries the colors used so far plus
+    one fresh color, lowest first. None means no k-coloring exists.
+    """
+
+    n = G.n
+    adj = [0] * n
+    for u, v in G.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    color = [-1] * n
+    neighbor_colors = [0] * n  # per-vertex bitmask of colors on colored neighbors
+    full = (1 << k) - 1
+
+    def descend(colored: int, used: int) -> bool:
+        if colored == n:
+            return True
+        pick, pick_sat = -1, -1
+        for v in range(n):
+            if color[v] == -1:
+                sat = neighbor_colors[v].bit_count()
+                if sat > pick_sat:
+                    pick, pick_sat = v, sat
+                    if sat >= k:
+                        break
+        v = pick
+        if neighbor_colors[v] == full:
+            return False
+        tryable = ~neighbor_colors[v] & ((1 << min(k, used + 1)) - 1)
+        while tryable:
+            bit = tryable & -tryable
+            tryable ^= bit
+            c = bit.bit_length() - 1
+            color[v] = c
+            touched = []
+            rest = adj[v]
+            while rest:
+                ubit = rest & -rest
+                rest ^= ubit
+                u = ubit.bit_length() - 1
+                if color[u] == -1 and not neighbor_colors[u] & bit:
+                    neighbor_colors[u] |= bit
+                    touched.append(u)
+            if descend(colored + 1, max(used, c + 1)):
+                return True
+            for u in touched:
+                neighbor_colors[u] ^= bit
+            color[v] = -1
+        return False
+
+    limit = sys.getrecursionlimit()  # one level per vertex
+    sys.setrecursionlimit(max(limit, 4 * n + 1000))
+    try:
+        return color if descend(0, 0) else None
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def are_isomorphic(G: LabeledGraph, H: LabeledGraph) -> bool:

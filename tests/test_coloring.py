@@ -4,13 +4,18 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchkneser import (
     Deadline,
+    FamilyParams,
     ParameterError,
     SearchTimeout,
+    VerificationError,
+    build_matching_kneser,
     chromatic_number,
     dimacs_lines,
+    gap_graph,
     greedy_clique,
     is_k_colorable,
     kneser_graph,
@@ -20,7 +25,7 @@ from matchkneser import (
 )
 from matchkneser.coloring import check_coloring
 
-from helpers import brute_force_chromatic, graphs
+from helpers import brute_force_chromatic, graphs, reference_k_coloring
 
 K3 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
 K4 = make_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -169,3 +174,63 @@ def test_search_leaves_the_recursion_limit_alone():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
+
+
+def _search_graph(name):
+    if name.startswith("K"):
+        l, r = map(int, name[2:-1].split(","))
+        return kneser_graph(l, r)
+    r, theta, gamma = map(int, name[4:-1].split(","))
+    return build_matching_kneser(gap_graph(FamilyParams(r, theta, gamma)), r).graph
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"K({l},2)" for l in range(7, 11)]
+    + [f"K({l},3)" for l in range(7, 10)]
+    + ["gap(3,4,1)", "gap(3,5,1)", "gap(4,2,1)", "gap(4,3,2)"],
+)
+def test_search_matches_the_reference_at_every_k(name):
+    # The saturation-level search must branch exactly like the vertex scan
+    # it replaced: the same coloring, or the same proven no, at every k the
+    # iterative deepening of chromatic_number tries.
+    H = _search_graph(name)
+    chi = chromatic_number(H).k
+    for k in range(len(greedy_clique(H)), chi + 1):
+        expected = reference_k_coloring(H, k)
+        got = is_k_colorable(H, k)
+        assert got == (None if expected is None else tuple(expected)), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=12, max_m=30))
+def test_search_matches_the_reference_on_small_graphs(G):
+    chi = chromatic_number(G).k
+    for k in range(1, chi + 2):
+        expected = reference_k_coloring(G, k)
+        assert is_k_colorable(G, k) == (None if expected is None else tuple(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=2, max_n=10, max_m=20), st.data())
+def test_check_coloring_names_the_first_monochromatic_edge(G, data):
+    coloring = tuple(data.draw(st.lists(st.integers(0, 2), min_size=G.n, max_size=G.n)))
+    k = len(set(coloring))
+    coloring = tuple(sorted(set(coloring)).index(c) for c in coloring)  # colors 0..k-1
+    clash = [(u, v) for u, v in G.edges if coloring[u] == coloring[v]]
+    if not clash:
+        check_coloring(G, coloring, k)
+        return
+    u, v = clash[0]
+    with pytest.raises(VerificationError) as info:
+        check_coloring(G, coloring, k)
+    assert str(info.value) == f"edge ({u}, {v}) is monochromatic in color {coloring[u]}"
+
+
+def test_check_coloring_messages():
+    with pytest.raises(VerificationError, match="covers 9 of 10 vertices"):
+        check_coloring(petersen(), (0,) * 9, 1)
+    with pytest.raises(VerificationError, match=r"uses colors \[0, 1\], expected exactly 0..2"):
+        check_coloring(petersen(), (0, 1) * 5, 3)
+    with pytest.raises(VerificationError, match=r"edge \(0, 1\) is monochromatic in color 0"):
+        check_coloring(petersen(), (0,) * 10, 1)

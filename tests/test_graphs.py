@@ -66,6 +66,31 @@ def test_remove_edges_is_persistent():
     assert remove_edges(P4, [(2, 1)]).edges == smaller.edges  # orientation-free
 
 
+def _adj_mask_law(G):
+    masks = G.adj_masks
+    assert len(masks) == G.n
+    for u in range(G.n):
+        assert not masks[u] >> u & 1  # no self-bits
+        for v in range(G.n):
+            assert (masks[u] >> v & 1) == (masks[v] >> u & 1)  # symmetric
+            assert bool(masks[u] >> v & 1) == (u != v and G.has_edge(u, v))
+        assert masks[u].bit_count() == len(G.adj[u])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=12, max_m=30))
+def test_adjacency_masks_agree_with_the_edges(G):
+    _adj_mask_law(G)
+
+
+def test_adjacency_masks_of_named_graphs():
+    _adj_mask_law(petersen())
+    _adj_mask_law(make_graph(0, []))
+    _adj_mask_law(make_graph(70, [(0, 69), (5, 64), (63, 64)]))  # bits past one machine word
+    P = petersen()
+    assert P.adj_masks is P.adj_masks  # built once per graph
+
+
 def test_connectivity():
     assert is_connected(P4)
     assert not is_connected(make_graph(4, [(0, 1), (2, 3)]))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from matchkneser import (
+    Deadline,
     FamilyParams,
     KneserSizeError,
     ParameterError,
@@ -19,9 +20,11 @@ from matchkneser import (
     petersen,
     r_subsets,
 )
+from matchkneser.coloring import DEFAULT_TIME_BUDGET
 from matchkneser.kneser import matchings_sidecar_lines
+from matchkneser.verify import THEOREM2_GRID
 
-from helpers import CountingDeadline, are_isomorphic, graphs
+from helpers import CountingDeadline, are_isomorphic, brute_force_matchings, graphs
 
 
 def test_single_vertex_kneser():
@@ -130,3 +133,33 @@ def test_kneser_pair_loop_checks_the_deadline_once_per_row():
     assert recorder.stages == ["matching Kneser construction"] * mkg.graph.n
     with pytest.raises(SearchTimeout, match="matching Kneser construction"):
         build_matching_kneser(G, 3, deadline=CountingDeadline(limit=5))
+
+
+@pytest.mark.parametrize(
+    "host, r",
+    [(petersen(), 5), (gap_tree(5, 1), 5)]
+    + [(gap_graph(FamilyParams(r, theta, gamma)), r) for r, theta, gamma in THEOREM2_GRID],
+    ids=["petersen-r5", "gap_tree(5,1)"] + ["gap({},{},{})".format(*grid) for grid in THEOREM2_GRID],
+)
+def test_rows_by_unions_match_the_pair_reference(host, r):
+    mkg = build_matching_kneser(host, r)
+    matchings = brute_force_matchings(host, r)
+    assert list(mkg.matchings) == matchings
+    edge_sets = [frozenset(m) for m in matchings]
+    pairs = [(i, j) for i, j in combinations(range(len(matchings)), 2) if edge_sets[i].isdisjoint(edge_sets[j])]
+    assert mkg.graph.n == len(matchings)
+    assert list(mkg.graph.edges) == pairs
+
+
+def test_edgeless_tree_kneser_builds_within_the_default_budget():
+    # No two 6-matchings of gap_tree(6, 1) are edge-disjoint.
+    mkg = build_matching_kneser(gap_tree(6, 1), 6, deadline=Deadline(DEFAULT_TIME_BUDGET))
+    assert mkg.graph.n == len(mkg.matchings) == 17_598
+    assert mkg.graph.m == 0
+
+
+def test_empty_rows_still_check_the_deadline():
+    recorder = CountingDeadline()
+    mkg = build_matching_kneser(gap_tree(5, 1), 5, deadline=recorder)
+    assert mkg.graph.m == 0
+    assert recorder.stages == ["matching Kneser construction"] * mkg.graph.n
