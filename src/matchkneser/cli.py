@@ -26,7 +26,7 @@ from .errors import (
 )
 from .families import FamilyParams, gap_graph, gap_tree, matching_graph, petersen
 from .graphs import read_edgelist, write_edgelist, edgelist_lines
-from .homcert import certify_family, hom_witness_lines
+from .homcert import CERTIFY_MATCHING_CAP, certify_family, hom_witness_lines
 from .kneser import DEFAULT_MATCHING_CAP, build_matching_kneser, write_kneser_files
 from .report import assemble_report, gap_report, reports_json, reports_table
 from .turan import min_deletion_set
@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
         add_timeout_flag(p)
 
-    def add_cap_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--kneser-cap", type=_matching_cap, default=DEFAULT_MATCHING_CAP, metavar="N")
+    def add_cap_flag(p: argparse.ArgumentParser, default: int = DEFAULT_MATCHING_CAP) -> None:
+        p.add_argument("--kneser-cap", type=_matching_cap, default=default, metavar="N")
 
     gen = sub.add_parser("gen", help="write a family instance in edge-list format")
     gen.add_argument("--family", required=True, choices=("matching", "gap", "tree", "petersen"))
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--gamma", type=int, required=True)
     cert.add_argument("--out", type=Path, help="base path for .json/.forward.txt/.backward.txt")
     add_solve_flags(cert)
-    add_cap_flag(cert)
+    add_cap_flag(cert, CERTIFY_MATCHING_CAP)
 
     ver = sub.add_parser("verify", help="run verification targets")
     ver.add_argument(

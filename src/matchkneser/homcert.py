@@ -15,9 +15,12 @@ of chi(K(l, r - t)) = theta:
 Both maps are verified, never trusted. The forward map needs no pair loop:
 computing it on each matching already proves it a homomorphism (see
 :func:`certify_family`). The pulled-back coloring is checked on every pair
-at once by counting the edge-disjoint pairs inside each color class over
-sub-matchings (:func:`disjoint_pair_count`). The backward map is checked
-edge by edge over its source, the small Kneser graph K(l, r - t).
+by :func:`check_color_classes`: matchings whose pair-edge sets intersect
+share an edge, so inside a color class only groups with disjoint pair-edge
+sets need an exact count of edge-disjoint pairs
+(:func:`disjoint_pair_count`), and on the family's own colorings no group
+pair does. The backward map is checked edge by edge over its source, the
+small Kneser graph K(l, r - t).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import mul
 from typing import Any, Sequence
@@ -34,12 +37,17 @@ from .coloring import ChiCertificate, chromatic_number, lovasz_chi
 from .errors import Deadline, ParameterError, VerificationError, ensure_deadline
 from .families import FamilyParams, gap_graph
 from .graphs import Edge, LabeledGraph, Matching
-from .kneser import DEFAULT_MATCHING_CAP, capped_matchings, kneser_graph, r_subsets
+from .kneser import capped_matchings, kneser_graph, r_subsets
 
 # Unused here, but kept bound: perfbench/spans.py wraps this attribute of this module.
 from .graphs import iter_matchings  # noqa: F401
 
 _DEADLINE_STRIDE = 4096  # matchings counted between deadline checks
+
+# certify_family never builds the Kneser graph: it stores each matching's
+# edge tuple and mask, about 210-240 bytes per matching at r = 5 and r = 7,
+# so the cap bounds memory near 250 MB.
+CERTIFY_MATCHING_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -193,27 +201,80 @@ def disjoint_pair_count(matchings: Sequence[Matching], deadline: Deadline) -> in
     return total
 
 
+def check_color_classes(
+    matchings: Sequence[Matching],
+    masks: Sequence[int],
+    coloring: Sequence[int],
+    key_bits: int,
+    deadline: Deadline,
+) -> None:
+    """Raise :class:`VerificationError` if a color class holds two edge-disjoint matchings.
+
+    ``masks[i]`` is the edge bitmask of ``matchings[i]`` and ``coloring[i]``
+    its color. Within a class the matchings fall into groups by their key
+    ``mask & key_bits``. Two matchings whose keys intersect share an edge,
+    so a pair of groups with intersecting keys -- a group with a non-zero
+    key paired with itself included -- holds no edge-disjoint pair. Only a
+    pair of groups with disjoint keys (a zero key paired with itself
+    included) gets the exact count, by :func:`disjoint_pair_count` over the
+    union of the two groups, which must be 0. The cost is one pass over the
+    matchings plus the square of the number of groups in each class. Classes
+    are checked in increasing color order, so the lowest improper color is
+    the one named; ``deadline`` is checked once per class and once per
+    exact count.
+    """
+
+    keys_of: dict[int, list[int]] = {}
+    for color, key in sorted(set(zip(coloring, map(key_bits.__and__, masks)))):
+        keys_of.setdefault(color, []).append(key)
+    for color, keys in keys_of.items():
+        deadline.check("pulled-back coloring check")
+        for i, a in enumerate(keys):
+            for b in keys[i:]:
+                if a & b:
+                    continue
+                deadline.check("pulled-back coloring check")
+                members = [
+                    matching
+                    for matching, mask, c in zip(matchings, masks, coloring)
+                    if c == color and (mask & key_bits) in (a, b)
+                ]
+                if disjoint_pair_count(members, deadline):
+                    raise VerificationError(
+                        f"pulled-back coloring is improper: color class {color} "
+                        f"holds edge-disjoint matchings"
+                    )
+
+
 def certify_family(
     params: FamilyParams,
     time_budget: float | None = None,
     deadline: Deadline | None = None,
-    cap: int = DEFAULT_MATCHING_CAP,
+    cap: int = CERTIFY_MATCHING_CAP,
 ) -> FamilyCertification:
     """Certify chi = theta for the matching Kneser graph of ``gap_graph(params)``.
 
     Steps: (a) solve the small Kneser graph K(l, r - t) exactly and cross-check
     the closed form; (b) compute the forward map of every matching and check
     that no color class of the pulled-back coloring holds two edge-disjoint
-    matchings, by :func:`disjoint_pair_count`; (c) verify the backward map on
-    every edge of K(l, r - t), giving the matching lower bound. Every pair of
-    matchings is covered, so ``pairs_checked`` is always n(n - 1)/2.
+    matchings, by :func:`check_color_classes` keyed on the pair edges;
+    (c) verify the backward map on every edge of K(l, r - t), giving the
+    matching lower bound. Every pair of matchings is covered, so
+    ``pairs_checked`` is always n(n - 1)/2.
 
     The forward map needs no pair check of its own: the image of a matching
     consists of indices i whose edges x_i y_i lie in it, so two edge-disjoint
     matchings share no index and map to disjoint subsets, which are adjacent
     in K(l, r - t). :func:`forward_map` raising on no matching is the whole
-    proof. Any verification failure raises :class:`VerificationError` -- it
-    would mean a bug, not an ambiguous input.
+    proof. The same fact makes step (b) cheap: a color class of K(l, r - t)
+    holds no two disjoint subsets, so any two pair-edge sets in one pulled
+    class intersect and the exact count in :func:`check_color_classes`
+    never runs. Any verification failure raises :class:`VerificationError`
+    -- it would mean a bug, not an ambiguous input.
+
+    More than ``cap`` r-matchings raise :class:`KneserSizeError` during
+    enumeration; the default :data:`CERTIFY_MATCHING_CAP` bounds the stored
+    matchings, not a Kneser graph, which is never built here.
     """
 
     p = params
@@ -249,14 +310,7 @@ def certify_family(
     forward_idx = tuple(index_of[mask & pair_bits] for mask in masks)
     pulled_coloring = tuple(map(small_cert.coloring.__getitem__, forward_idx))
 
-    # Propriety of the pulled-back coloring, one color class at a time.
-    for color in range(small_cert.k):
-        members = list(compress(matchings, map(color.__eq__, pulled_coloring)))
-        if disjoint_pair_count(members, deadline):
-            raise VerificationError(
-                f"pulled-back coloring is improper: color class {color} "
-                f"holds edge-disjoint matchings"
-            )
+    check_color_classes(matchings, masks, pulled_coloring, pair_bits, deadline)
 
     # Backward homomorphism: every image is an r-matching of the host (found
     # by bisection, as ``matchings`` is sorted), round-trips through forward,

@@ -156,7 +156,8 @@ def sequence_report(
     Each report carries the construction's closed-form predictions
     (chi = theta and removal bound theta + r - 2, hence gap r - 2) alongside
     the computed values; a mismatch shows up in ``prediction_match`` rather
-    than overwriting anything.
+    than overwriting anything. A certification that times out or exceeds
+    its matching cap leaves chi unknown, as in :func:`gap_report`.
     """
 
     deadline = ensure_deadline(deadline, time_budget)
@@ -166,7 +167,7 @@ def sequence_report(
         tree = gap_tree(r, theta)
         try:
             chi_cert = certify_family(params, deadline=deadline).chi_certificate
-        except SearchTimeout:
+        except (KneserSizeError, SearchTimeout):
             chi_cert = None
         deletion = min_deletion_set(tree, r, deadline=deadline)
         reports.append(

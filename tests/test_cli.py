@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from inspect import signature
 from pathlib import Path
 
 import pytest
 
 import matchkneser
-from matchkneser import make_graph, write_edgelist
-from matchkneser.cli import EXIT_FAILED, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main
+from matchkneser import certify_family, make_graph, write_edgelist
+from matchkneser.cli import EXIT_FAILED, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, build_parser, main
+from matchkneser.homcert import CERTIFY_MATCHING_CAP
+from matchkneser.kneser import DEFAULT_MATCHING_CAP
 
 
 @pytest.fixture
@@ -97,6 +100,17 @@ def test_gap_unknown_exit_code(petersen_file, capsys):
     code = main(["gap", "--in", str(petersen_file), "--r", "5", "--kneser-cap", "1"])
     assert code == EXIT_UNKNOWN
     capsys.readouterr()
+
+
+def test_kneser_cap_defaults():
+    # certify stores matchings but never builds the Kneser graph; kneser and
+    # gap build it and keep the smaller cap.
+    parser = build_parser()
+    cert = parser.parse_args(["certify", "--r", "3", "--theta", "1", "--gamma", "1"])
+    assert cert.kneser_cap == CERTIFY_MATCHING_CAP == 1_000_000
+    assert signature(certify_family).parameters["cap"].default == CERTIFY_MATCHING_CAP
+    for argv in (["gap", "--in", "g.edges", "--r", "3"], ["kneser", "--in", "g.edges", "--r", "3", "--out", "k"]):
+        assert parser.parse_args(argv).kneser_cap == DEFAULT_MATCHING_CAP == 200_000
 
 
 def test_negative_kneser_cap_is_usage_error(petersen_file, capsys):

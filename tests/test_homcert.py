@@ -1,6 +1,7 @@
 """Homomorphism maps and the certified chromatic numbers they produce."""
 
 import random
+import re
 from itertools import combinations
 from math import comb
 
@@ -29,7 +30,12 @@ from matchkneser import (
 )
 from matchkneser import homcert
 from matchkneser.coloring import check_coloring
-from matchkneser.homcert import disjoint_pair_count, find_violation, hom_witness_lines
+from matchkneser.homcert import (
+    check_color_classes,
+    disjoint_pair_count,
+    find_violation,
+    hom_witness_lines,
+)
 from matchkneser.kneser import capped_matchings
 from matchkneser.verify import THEOREM2_GRID
 
@@ -287,3 +293,123 @@ def test_witness_serialization():
     back_lines = hom_witness_lines(certification.backward)
     assert back_lines[0].startswith("0 -> ")
     assert "{1,2}" in back_lines[0]
+
+
+def _pair_bits(G, params):
+    pair_edges = {params.x_edge(i) for i in range(1, params.l + 1)}
+    return sum(1 << i for i, e in enumerate(G.edges) if e in pair_edges)
+
+
+def _improper_class(matchings, masks, coloring, key_bits):
+    """The color check_color_classes names, or None when it accepts."""
+
+    try:
+        check_color_classes(matchings, masks, coloring, key_bits, Deadline(None))
+    except VerificationError as err:
+        return int(re.search(r"color class (\d+) holds", str(err)).group(1))
+    return None
+
+
+def _improper_class_oracle(matchings, coloring):
+    """The lowest color holding two edge-disjoint matchings, pair by pair."""
+
+    for c in sorted(set(coloring)):
+        members = [set(mt) for mt, col in zip(matchings, coloring) if col == c]
+        if any(a.isdisjoint(b) for a, b in combinations(members, 2)):
+            return c
+    return None
+
+
+class _CountingCalls:
+    """Wraps a function and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+# THEOREM2_GRID plus the survey-grid hosts with at most about 2,000 matchings.
+_SMALL_HOSTS = sorted(set(THEOREM2_GRID) | {(4, 2, 1), (4, 3, 2), (5, 1, 3)})
+
+
+@pytest.mark.parametrize("grid", _SMALL_HOSTS)
+def test_check_color_classes_matches_pairwise_oracle(grid):
+    params = FamilyParams(*grid)
+    G = gap_graph(params)
+    matchings, masks = capped_matchings(G, params.r)
+    pair_bits = _pair_bits(G, params)
+    pulled = certify_family(params).chi_certificate.coloring
+    rng = random.Random(repr(grid))
+    colorings = [list(pulled)]
+    colorings += [[rng.randrange(k) for _ in matchings] for k in (1, 2, 3, len(matchings) // 3)]
+    for flips in (1, 3, 10):
+        # The certified coloring with a few matchings moved to another class:
+        # some of these stay proper, some do not.
+        perturbed = list(pulled)
+        for i in rng.sample(range(len(matchings)), flips):
+            perturbed[i] = rng.randrange(params.theta)
+        colorings.append(perturbed)
+    outcomes = set()
+    for coloring in colorings:
+        expected = _improper_class_oracle(matchings, coloring)
+        outcomes.add(expected is None)
+        for key_bits in (pair_bits, 0, (1 << G.m) - 1):
+            assert _improper_class(matchings, masks, coloring, key_bits) == expected
+    assert outcomes == {True, False} or params.theta == 1
+
+
+def test_disjoint_key_groups_meeting_at_a_hub_edge_are_accepted(monkeypatch):
+    # gap(3,2,1): l = 4 pairs, one hub z1. The two groups have disjoint keys
+    # {x1y1, x2y2} and {x3y3, x4y4}, but every matching uses the hub edge w1 z1.
+    p = FamilyParams(3, 2, 1)
+    G = gap_graph(p)
+    matchings, masks = capped_matchings(G, p.r)
+    hub = (p.w_vertex(1), p.z_vertex(1))
+    a = tuple(sorted([p.x_edge(1), p.x_edge(2), hub]))
+    b = tuple(sorted([p.x_edge(3), p.x_edge(4), hub]))
+    mask_of = dict(zip(matchings, masks))
+    counter = _CountingCalls(homcert.disjoint_pair_count)
+    monkeypatch.setattr(homcert, "disjoint_pair_count", counter)
+    recorder = CountingDeadline()
+    check_color_classes([a, b], [mask_of[a], mask_of[b]], (1, 1), _pair_bits(G, p), recorder)
+    assert counter.calls == 1
+    # One check for the class, one for the exact count, then the count's own.
+    assert recorder.stages[:2] == ["pulled-back coloring check"] * 2
+    # Move the second matching's hub edge to w2 z1: now the pair is disjoint.
+    moved = tuple(sorted([p.x_edge(3), p.x_edge(4), (p.w_vertex(2), p.z_vertex(1))]))
+    with pytest.raises(VerificationError, match="color class 1 holds edge-disjoint matchings"):
+        check_color_classes(
+            [a, moved], [mask_of[a], mask_of[moved]], (1, 1), _pair_bits(G, p), Deadline(None)
+        )
+    assert counter.calls == 2
+
+
+def test_a_truly_disjoint_pair_is_rejected_naming_its_color():
+    p = FamilyParams(3, 2, 1)
+    G = gap_graph(p)
+    matchings, masks = capped_matchings(G, p.r)
+    coloring = list(certify_family(p).chi_certificate.coloring)
+    check_color_classes(matchings, masks, coloring, _pair_bits(G, p), Deadline(None))
+    # Add a third color holding one matching and its edge-disjoint partner.
+    a, b = next((a, b) for a, b in combinations(range(len(masks)), 2) if not masks[a] & masks[b])
+    coloring[a] = coloring[b] = 2
+    with pytest.raises(VerificationError, match="color class 2 holds edge-disjoint matchings"):
+        check_color_classes(matchings, masks, coloring, _pair_bits(G, p), Deadline(None))
+
+
+@pytest.mark.parametrize("grid", SURVEY_GRID)
+def test_survey_certificates_never_take_the_exact_count(grid, monkeypatch):
+    params = FamilyParams(*grid)
+    counter = _CountingCalls(homcert.disjoint_pair_count)
+    monkeypatch.setattr(homcert, "disjoint_pair_count", counter)
+    recorder = CountingDeadline()
+    certification = certify_family(params, deadline=recorder)
+    assert counter.calls == 0
+    # One deadline check per color class, none for an exact count.
+    assert recorder.stages.count("pulled-back coloring check") == params.theta
+    n = certification.n_matchings
+    assert certification.pairs_checked == n * (n - 1) // 2

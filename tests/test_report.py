@@ -6,6 +6,7 @@ import pytest
 
 from matchkneser import (
     ChiCertificate,
+    KneserSizeError,
     VerificationError,
     gap_report,
     make_graph,
@@ -14,6 +15,7 @@ from matchkneser import (
     petersen,
     sequence_report,
 )
+from matchkneser import report
 from matchkneser.coloring import EdgelessWitness
 from matchkneser.report import HOLDS, UNKNOWN, VIOLATED, assemble_report, reports_json, reports_table
 
@@ -59,6 +61,21 @@ def test_sequence_report_growth():
     assert all(rep.chi == 1 and rep.verdict == VIOLATED for rep in reps)
     assert all(rep.prediction_match for rep in reps)
     assert all(rep.ex == rep.edge_count - rep.removal_bound for rep in reps)
+
+
+def test_sequence_report_degrades_a_cap_overrun_to_unknown(monkeypatch):
+    real = report.certify_family
+
+    def capped_at_four(params, **kwargs):
+        if params.r >= 4:
+            raise KneserSizeError(f"planted cap overrun at r={params.r}")
+        return real(params, **kwargs)
+
+    monkeypatch.setattr(report, "certify_family", capped_at_four)
+    first, second = sequence_report(1, [3, 4])
+    assert first.chi == 1 and first.prediction_match is True
+    assert second.chi is None and second.verdict == UNKNOWN
+    assert second.removal_bound == 3 and second.prediction_match is False
 
 
 def test_sequence_report_theta_two():

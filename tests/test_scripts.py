@@ -1,0 +1,61 @@
+"""The documented experiment scripts run to completion with their default caps."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from matchkneser import FamilyParams, certify_family, gap_graph
+from matchkneser.kneser import capped_matchings
+from matchkneser.verify import THEOREM2_GRID
+
+from helpers import SURVEY_GRID, gap_matching_count
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=600, check=False,
+    )
+
+
+def test_gap_survey_runs_with_its_defaults():
+    done = run_script("gap_survey.py")
+    assert done.returncode == 0, done.stderr
+    assert "all 18 instances match the closed forms" in done.stdout
+
+
+def test_growth_table_runs_to_r_seven():
+    done = run_script("growth_table.py", "--r", "3", "4", "5", "6", "7", "--format", "json")
+    assert done.returncode == 0, done.stderr
+    reports = json.loads(done.stdout)
+    assert [rep["r"] for rep in reports] == [3, 4, 5, 6, 7]
+    assert all(rep["prediction_match"] is True for rep in reports)
+    assert [rep["gap"] for rep in reports] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("grid", sorted(set(THEOREM2_GRID) | set(SURVEY_GRID)))
+def test_matching_count_closed_form_agrees_with_enumeration(grid):
+    params = FamilyParams(*grid)
+    matchings, _ = capped_matchings(gap_graph(params), params.r)
+    assert gap_matching_count(params) == len(matchings)
+
+
+@pytest.mark.parametrize(
+    "grid, count", [((5, 3, 1), 546_661), ((5, 3, 2), 232_421), ((7, 1, 5), 221_166)]
+)
+def test_large_instances_certify_under_the_default_cap(grid, count):
+    # (7, 1, 5) is gap_tree(7, 1), the r = 7 row of growth_table.py.
+    params = FamilyParams(*grid)
+    assert gap_matching_count(params) == count
+    certification = certify_family(params)
+    assert certification.n_matchings == count
+    assert certification.pairs_checked == count * (count - 1) // 2
+    assert certification.chi_certificate.k == params.theta
