@@ -15,7 +15,7 @@ class ParameterError(ValueError):
 
 
 class KneserSizeError(RuntimeError):
-    """A matching Kneser graph would exceed the configured vertex cap."""
+    """A matching Kneser graph would exceed its configured vertex cap or row budget."""
 
 
 class SearchTimeout(RuntimeError):

@@ -11,7 +11,7 @@ of radius 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, perm
 
 from .errors import ParameterError, VerificationError
 from .graphs import Edge, LabeledGraph, is_tree, make_graph, radius
@@ -56,6 +56,21 @@ class FamilyParams:
     @property
     def n_vertices(self) -> int:
         return 2 * self.l + self.t + self.w_count
+
+    @property
+    def n_matchings(self) -> int:
+        """The number of r-matchings of ``gap_graph(self)``, by a closed form.
+
+        Every edge is a pair edge x_i y_i or meets one of the t hubs. A
+        matching with h hub edges picks the h hubs, its r - h pair edges, and
+        then, in order, distinct partners for the hubs among the x and w
+        vertices its pair edges leave free.
+        """
+
+        return sum(
+            comb(self.t, h) * comb(self.l, self.r - h) * perm(self.l - (self.r - h) + self.w_count, h)
+            for h in range(max(0, self.r - self.l), self.t + 1)
+        )
 
     # Vertex numbering is fixed as x-block, w-block, y-block, z-block so that
     # certificates and file outputs are byte-for-byte reproducible. The index

@@ -1,7 +1,11 @@
 """Finite simple graphs with dense integer vertices, plus exact matching machinery.
 
-Graphs are immutable after construction: edge deletion returns a new graph
-value, and all operations are pure functions of their inputs, except
+A graph is built from its sorted edge list or from its neighbor bitmasks
+(one row per vertex, as the matching Kneser construction makes them); the
+other form, the edge count and the neighbor tuples are derived lazily on
+first use and cached, so a graph that is only colored never builds its edge
+list. Graphs are immutable after construction: edge deletion returns a new
+graph value, and all operations are pure functions of their inputs, except
 ``repair_matching``, which updates a caller-owned mate array in place for
 incremental searches over one mutable adjacency. Matchings are kept in a
 canonical form (lexicographically sorted tuples of ``(u, v)`` edges with
@@ -11,8 +15,10 @@ canonical form (lexicographically sorted tuples of ``(u, v)`` edges with
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
+from itertools import accumulate, chain, count, repeat
+from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -24,24 +30,72 @@ Matching = tuple[Edge, ...]
 ROLE_KINDS = ("x", "y", "z", "w")
 
 
-@dataclass(frozen=True)
 class LabeledGraph:
     """A simple undirected graph on vertices ``0..n-1``.
 
-    ``edges`` is sorted and duplicate-free with every edge ``(u, v)``
-    satisfying ``u < v``. ``roles`` optionally tags each vertex with a
-    construction label such as ``"x2"`` or ``"w13"`` (empty string for
-    untagged vertices); labels are metadata only and never influence any
-    algorithm.
+    A graph is built from either of two forms: ``edges``, sorted and
+    duplicate-free with every edge ``(u, v)`` satisfying ``u < v``, or
+    ``adj_masks``, one neighbor bitmask per vertex. The form it was given is
+    held as a plain attribute; the other is derived on first use and cached,
+    as are ``m``, ``edge_set`` and ``adj``. ``roles`` optionally tags each
+    vertex with a construction label such as ``"x2"`` or ``"w13"`` (empty
+    string for untagged vertices); labels are metadata only and never
+    influence any algorithm. Equality and hashing are over
+    ``(n, edges, roles)`` whichever form a graph was built from, and no
+    attribute can be assigned.
     """
 
-    n: int
-    edges: tuple[Edge, ...]
-    roles: tuple[str, ...] | None = None
+    def __init__(
+        self,
+        n: int,
+        edges: tuple[Edge, ...] | None = None,
+        roles: tuple[str, ...] | None = None,
+        *,
+        adj_masks: tuple[int, ...] | None = None,
+    ) -> None:
+        if (edges is None) == (adj_masks is None):
+            raise TypeError("LabeledGraph takes exactly one of edges and adj_masks")
+        # The given form shadows its cached_property, so reading it is a
+        # plain instance-dict lookup.
+        given = {"edges": edges} if adj_masks is None else {"adj_masks": adj_masks}
+        self.__dict__.update(n=n, roles=roles, **given)
 
-    @property
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"LabeledGraph(n={self.n!r}, edges={self.edges!r}, roles={self.roles!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LabeledGraph):
+            return NotImplemented
+        return (self.n, self.edges, self.roles) == (other.n, other.edges, other.roles)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges, self.roles))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The sorted edge list, decoded row by row from ``adj_masks``."""
+        return tuple(chain.from_iterable(zip(repeat(u), vs) for u, vs in _upper_neighbors(self.adj_masks)))
+
+    @cached_property
+    def adj_masks(self) -> tuple[int, ...]:
+        """Neighbor bitmasks, indexed by vertex: bit v of ``adj_masks[u]`` is the edge (u, v)."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
+    @cached_property
     def m(self) -> int:
-        return len(self.edges)
+        if "edges" in self.__dict__:
+            return len(self.edges)
+        return sum(row.bit_count() for row in self.adj_masks) // 2
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -56,15 +110,6 @@ class LabeledGraph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
 
-    @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        """Neighbor bitmasks, indexed by vertex: bit v of ``adj_masks[u]`` is the edge (u, v)."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
-
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
@@ -74,6 +119,32 @@ class LabeledGraph:
         if self.roles is None:
             return ""
         return self.roles[v]
+
+
+def _bit_positions(x: int, offset: int) -> Iterator[int]:
+    """``offset + j`` for each set bit j of ``x``, in increasing order.
+
+    Splitting the binary digits, lowest first, at each "1" leaves the runs
+    of zeros between set bits; the k-th set bit (from 0) sits at the total
+    length of the first k + 1 runs plus k. All of it runs in C, and only
+    the set bits get an int.
+    """
+
+    runs = bin(x)[:1:-1].split("1")
+    runs.pop()
+    return map(add, accumulate(map(len, runs)), count(offset))
+
+
+def _upper_neighbors(masks: Iterable[int]) -> Iterator[tuple[int, Iterator[int]]]:
+    """``(u, the neighbors v > u in increasing order)`` for each vertex u that has one.
+
+    Read in vertex order, these are the edges in canonical sorted order.
+    """
+
+    for u, row in enumerate(masks):
+        above = row >> (u + 1)
+        if above:
+            yield u, _bit_positions(above, u + 1)
 
 
 def _canonical_edge(u: int, v: int, n: int) -> Edge:
@@ -438,12 +509,19 @@ def has_r_matching(G: LabeledGraph, r: int) -> bool:
 # Lines starting with '#' are comments; the writer emits a ``# roles:`` block
 # when the graph carries role labels.
 
-def edgelist_lines(G: LabeledGraph) -> list[str]:
+def _header_lines(G: LabeledGraph) -> list[str]:
+    """The ``# roles:`` block, if any, and the ``n m`` line."""
+
     lines: list[str] = []
     if G.roles is not None and any(G.roles):
         lines.append("# roles:")
         lines.extend(f"# {v} {lab}" for v, lab in enumerate(G.roles) if lab)
     lines.append(f"{G.n} {G.m}")
+    return lines
+
+
+def edgelist_lines(G: LabeledGraph) -> list[str]:
+    lines = _header_lines(G)
     lines.extend(f"{u} {v}" for u, v in G.edges)
     return lines
 
@@ -475,7 +553,20 @@ def parse_edgelist(text: str) -> LabeledGraph:
 
 
 def write_edgelist(G: LabeledGraph, path: str | Path) -> None:
-    Path(path).write_text("\n".join(edgelist_lines(G)) + "\n")
+    """Write G in edge-list format.
+
+    A graph built from its neighbor masks, with no edge list decoded, is
+    written row by row from the masks: no edge tuple and no line list is
+    built, and the bytes are the same as from its edge list.
+    """
+
+    if "edges" in G.__dict__:
+        Path(path).write_text("\n".join(edgelist_lines(G)) + "\n")
+        return
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in _header_lines(G))
+        for u, vs in _upper_neighbors(G.adj_masks):
+            fh.writelines(map(f"{u} {{}}\n".format, vs))
 
 
 def read_edgelist(path: str | Path) -> LabeledGraph:

@@ -34,7 +34,7 @@ from operator import mul
 from typing import Any, Sequence
 
 from .coloring import ChiCertificate, chromatic_number, lovasz_chi
-from .errors import Deadline, ParameterError, VerificationError, ensure_deadline
+from .errors import Deadline, KneserSizeError, ParameterError, VerificationError, ensure_deadline
 from .families import FamilyParams, gap_graph
 from .graphs import Edge, LabeledGraph, Matching
 from .kneser import capped_matchings, kneser_graph, r_subsets
@@ -272,15 +272,27 @@ def certify_family(
     never runs. Any verification failure raises :class:`VerificationError`
     -- it would mean a bug, not an ambiguous input.
 
-    More than ``cap`` r-matchings raise :class:`KneserSizeError` during
-    enumeration; the default :data:`CERTIFY_MATCHING_CAP` bounds the stored
-    matchings, not a Kneser graph, which is never built here.
+    An instance whose closed-form r-matching count
+    (:attr:`FamilyParams.n_matchings`) exceeds ``cap`` is refused with
+    :class:`KneserSizeError` before anything is enumerated; the default
+    :data:`CERTIFY_MATCHING_CAP` bounds the stored matchings, not a Kneser
+    graph, which is never built here. The enumeration must then find exactly
+    that many matchings.
     """
 
     p = params
     deadline = ensure_deadline(deadline, time_budget)
+    if p.n_matchings > cap:
+        raise KneserSizeError(
+            f"gap graph (r={p.r}, theta={p.theta}, gamma={p.gamma}) has {p.n_matchings} "
+            f"r-matchings, more than the cap of {cap}"
+        )
     G = gap_graph(p)
     matchings, masks = capped_matchings(G, p.r, cap)
+    if len(matchings) != p.n_matchings:
+        raise VerificationError(
+            f"enumerated {len(matchings)} r-matchings, closed form gives {p.n_matchings}"
+        )
 
     small = kneser_graph(p.l, p.r - p.t)
     small_cert = chromatic_number(small, deadline=deadline)

@@ -9,9 +9,8 @@ classical Kneser graph K(l, r) on r-subsets of an l-set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, count, repeat
+from itertools import combinations
 from pathlib import Path
-from typing import Iterator
 
 from .errors import Deadline, KneserSizeError, ParameterError, ensure_deadline
 from .families import matching_graph
@@ -21,6 +20,9 @@ from .graphs import LabeledGraph, Matching, matching_blocks, write_edgelist
 from .graphs import iter_matchings, make_graph  # noqa: F401
 
 DEFAULT_MATCHING_CAP = 200_000
+# The adjacency rows of a matching Kneser graph are held whole, about N/8
+# bytes each at N vertices; their total is capped here (1 GiB).
+KNESER_ROW_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ def capped_matchings(
     :class:`KneserSizeError` as soon as a block of
     :func:`~matchkneser.graphs.matching_blocks` (at most m matchings) takes
     the count past ``cap``.
-    Callers rely on the order: the Kneser edge list comes out sorted, and
+    Callers rely on the order: it is the Kneser vertex order, and
     ``certify_family`` finds matchings by bisection.
     """
 
@@ -73,10 +75,13 @@ def build_matching_kneser(
     Refuses with :class:`KneserSizeError` when the number of r-matchings
     exceeds ``cap``; enumeration is aborted as soon as the cap is crossed.
     Row i of the adjacency is the complement of the union, over the r edges
-    of matching i, of the masks of the matchings using that edge; each row
-    is read into the edge list and dropped, so no N x N store is kept. The
-    row loop checks ``deadline`` once per row and raises
-    :class:`SearchTimeout` when it has expired.
+    of matching i, of the masks of the matchings using that edge. The rows
+    are kept whole and become the graph's ``adj_masks``, so the edge list is
+    decoded only if something reads it. Their bytes are counted as they are
+    made, and the construction refuses with :class:`KneserSizeError` as soon
+    as the total passes :data:`KNESER_ROW_BYTES`. The row loop checks
+    ``deadline`` once per row and raises :class:`SearchTimeout` when it has
+    expired.
     """
 
     if r < 1:
@@ -92,32 +97,28 @@ def build_matching_kneser(
             members[index[e]][i >> 3] |= 1 << (i & 7)
     users = [int.from_bytes(b, "little") for b in members]
     full = (1 << n) - 1
-    # Row i holds the matchings sharing no edge with matching i; its bits
-    # above i give the pairs (i, j), i < j, already in lexicographic order.
-    pairs: list[tuple[int, int]] = []
+    # Row i holds the matchings sharing no edge with matching i.
+    rows: list[int] = []
+    held = 0
     for i, matching in enumerate(matchings):
         deadline.check("matching Kneser construction")
         hit = 0
         for e in matching:
             hit |= users[index[e]]
-        above = (full ^ hit) >> (i + 1)
-        if above:
-            pairs.extend(zip(repeat(i), _bit_positions(above, i + 1)))
+        row = full ^ hit
+        held += row.bit_length() // 8
+        if held > KNESER_ROW_BYTES:
+            raise KneserSizeError(
+                f"matching Kneser graph of ({G.n} vertices, r={r}) needs more than "
+                f"{KNESER_ROW_BYTES} bytes of adjacency rows (construction stopped at row {i} of {n})"
+            )
+        rows.append(row)
     return MatchingKneserGraph(
         host=G,
         r=r,
         matchings=tuple(matchings),
-        graph=LabeledGraph(n=n, edges=tuple(pairs)),
+        graph=LabeledGraph(n=n, adj_masks=tuple(rows)),
     )
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bit_positions(x: int, offset: int) -> Iterator[int]:
-    """``offset + j`` for each set bit j of ``x``, in increasing order."""
-
-    return compress(count(offset), bin(x)[:1:-1].encode().translate(_BIT_BYTES))
 
 
 def r_subsets(l: int, r: int) -> list[tuple[int, ...]]:

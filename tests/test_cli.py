@@ -147,6 +147,16 @@ def test_kneser_files(petersen_file, tmp_path, capsys):
     assert len(sidecar.splitlines()) == 6
 
 
+def test_kneser_row_budget_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    host = tmp_path / "7k2.edges"
+    assert main(["gen", "--family", "matching", "--l", "7", "--out", str(host)]) == EXIT_OK
+    monkeypatch.setattr("matchkneser.kneser.KNESER_ROW_BYTES", 0)
+    code = main(["kneser", "--in", str(host), "--r", "3", "--out", str(tmp_path / "mkg")])
+    assert code == EXIT_USAGE
+    assert "bytes of adjacency rows" in capsys.readouterr().err
+    assert not (tmp_path / "mkg.edges").exists()
+
+
 def test_certify_writes_witnesses(tmp_path, capsys):
     base = tmp_path / "cert"
     code = main(

@@ -20,7 +20,10 @@ from matchkneser import (
     remove_edges,
 )
 
-from helpers import are_isomorphic, edge_k_colorable
+from matchkneser.kneser import capped_matchings
+from matchkneser.verify import THEOREM2_GRID
+
+from helpers import SURVEY_GRID, are_isomorphic, edge_k_colorable, gap_matching_count
 
 
 def test_param_arithmetic():
@@ -65,6 +68,18 @@ def test_size_closed_forms(r, theta):
         assert is_bipartite(G)
         if gamma == r - 2:
             assert is_tree(G) and radius(G) == 2
+
+
+@pytest.mark.parametrize("grid", sorted(set(THEOREM2_GRID) | set(SURVEY_GRID)))
+def test_matching_count_agrees_with_the_oracle_and_enumeration(grid):
+    params = FamilyParams(*grid)
+    assert params.n_matchings == gap_matching_count(params)
+    assert params.n_matchings == len(capped_matchings(gap_graph(params), params.r)[0])
+
+
+def test_matching_count_of_the_tree_sequence():
+    counts = [FamilyParams(r, 1, r - 2).n_matchings for r in range(3, 11)]
+    assert counts == [22, 175, 1596, 17598, 221166, 2978547, 41555800, 591603298]
 
 
 def test_roles_cover_all_blocks():

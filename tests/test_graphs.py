@@ -1,6 +1,7 @@
 """Graph core: construction, predicates, matching enumeration, matching number."""
 
 import random
+from dataclasses import FrozenInstanceError
 from functools import reduce
 from operator import or_
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from matchkneser import (
     GraphConstructionError,
     KneserSizeError,
+    LabeledGraph,
     ParameterError,
     bipartition,
     enumerate_matchings,
@@ -89,6 +91,70 @@ def test_adjacency_masks_of_named_graphs():
     _adj_mask_law(make_graph(70, [(0, 69), (5, 64), (63, 64)]))  # bits past one machine word
     P = petersen()
     assert P.adj_masks is P.adj_masks  # built once per graph
+
+
+def _from_masks(G):
+    """The same graph as G, built from its neighbor masks."""
+
+    masks = [0] * G.n
+    for u, v in G.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return LabeledGraph(G.n, roles=G.roles, adj_masks=tuple(masks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(min_n=0, max_n=70, max_m=40))
+def test_mask_built_and_edge_built_graphs_agree(G):
+    H = _from_masks(G)
+    assert H.m == G.m  # from the popcounts: H has no edge list yet
+    assert "edges" not in vars(H)
+    assert H == G and G == H
+    assert hash(H) == hash(G)
+    assert H.edges == G.edges
+    assert H.adj == G.adj and H.edge_set == G.edge_set and H.adj_masks == G.adj_masks
+
+
+def test_graphs_differ_when_any_part_differs():
+    H = _from_masks(P4)
+    assert H != _from_masks(make_graph(4, [(0, 1), (1, 2)]))
+    assert H != _from_masks(make_graph(5, P4.edges))
+    assert H != LabeledGraph(4, roles=("x1", "y1", "", ""), adj_masks=H.adj_masks)
+    assert H != P4.edges
+
+
+def test_the_given_form_is_held_as_given():
+    masks = (0b10, 0b1)
+    H = LabeledGraph(2, adj_masks=masks)
+    assert vars(H)["adj_masks"] is masks and H.adj_masks is masks
+    assert vars(P4)["edges"] is P4.edges
+    assert H.edges == ((0, 1),) and H.edges is H.edges  # decoded once
+
+
+@pytest.mark.parametrize("G", [P4, _from_masks(K3)], ids=["edges", "masks"])
+def test_graphs_are_immutable(G):
+    for name in ("n", "edges", "roles", "adj_masks", "m", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(G, name, None)
+    with pytest.raises(FrozenInstanceError):
+        del G.n
+
+
+def test_a_graph_takes_exactly_one_form():
+    with pytest.raises(TypeError):
+        LabeledGraph(2)
+    with pytest.raises(TypeError):
+        LabeledGraph(2, ((0, 1),), adj_masks=(0b10, 0b1))
+
+
+@pytest.mark.parametrize("roles", [None, ("x1", "", "y1", "z1")])
+def test_mask_built_graph_is_written_from_its_rows(tmp_path, roles):
+    G = make_graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)], roles=roles)
+    H = _from_masks(G)
+    write_edgelist(H, tmp_path / "h.edges")
+    assert "edges" not in vars(H)
+    assert (tmp_path / "h.edges").read_text() == "\n".join(edgelist_lines(G)) + "\n"
+    assert read_edgelist(tmp_path / "h.edges") == make_graph(4, G.edges)
 
 
 def test_connectivity():

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -31,6 +32,7 @@ from matchkneser import (
 from matchkneser import homcert
 from matchkneser.coloring import check_coloring
 from matchkneser.homcert import (
+    CERTIFY_MATCHING_CAP,
     check_color_classes,
     disjoint_pair_count,
     find_violation,
@@ -283,6 +285,41 @@ def test_certify_respects_matching_cap():
 
     with pytest.raises(KneserSizeError):
         certify_family(P311, cap=10)
+
+
+def test_certify_refuses_before_it_enumerates(monkeypatch):
+    from matchkneser import KneserSizeError, kneser
+
+    seen = Counter()  # host vertex count -> matchings enumerated on that host
+    real = kneser.matching_blocks
+
+    def counting(G, r):
+        for block, masks in real(G, r):
+            seen[G.n] += len(block)
+            yield block, masks
+
+    monkeypatch.setattr(kneser, "matching_blocks", counting)
+    tree = FamilyParams(8, 1, 6)  # gap_tree(8, 1): about 3.0M 8-matchings
+    assert tree.n_matchings > CERTIFY_MATCHING_CAP
+    with pytest.raises(KneserSizeError, match=f"{tree.n_matchings} r-matchings"):
+        certify_family(tree)
+    with pytest.raises(KneserSizeError):
+        certify_family(P311, cap=P311.n_matchings - 1)
+    assert not seen
+    assert certify_family(P311, cap=P311.n_matchings).n_matchings == P311.n_matchings
+    assert seen[P311.n_vertices] == P311.n_matchings
+
+
+def test_certify_checks_the_enumeration_against_the_closed_form(monkeypatch):
+    real = homcert.capped_matchings
+
+    def one_short(G, r, cap):
+        matchings, masks = real(G, r, cap)
+        return matchings[:-1], masks[:-1]
+
+    monkeypatch.setattr(homcert, "capped_matchings", one_short)
+    with pytest.raises(VerificationError, match="closed form"):
+        certify_family(P311)
 
 
 def test_witness_serialization():

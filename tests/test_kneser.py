@@ -9,6 +9,7 @@ from matchkneser import (
     Deadline,
     FamilyParams,
     KneserSizeError,
+    LabeledGraph,
     ParameterError,
     SearchTimeout,
     build_matching_kneser,
@@ -20,8 +21,10 @@ from matchkneser import (
     petersen,
     r_subsets,
 )
-from matchkneser.coloring import DEFAULT_TIME_BUDGET
-from matchkneser.kneser import matchings_sidecar_lines
+from matchkneser import kneser
+from matchkneser.coloring import DEFAULT_TIME_BUDGET, chromatic_number
+from matchkneser.graphs import edgelist_lines
+from matchkneser.kneser import matchings_sidecar_lines, write_kneser_files
 from matchkneser.verify import THEOREM2_GRID
 
 from helpers import CountingDeadline, are_isomorphic, brute_force_matchings, graphs
@@ -163,3 +166,56 @@ def test_empty_rows_still_check_the_deadline():
     mkg = build_matching_kneser(gap_tree(5, 1), 5, deadline=recorder)
     assert mkg.graph.m == 0
     assert recorder.stages == ["matching Kneser construction"] * mkg.graph.n
+
+
+@pytest.mark.parametrize(
+    "host, r", [(petersen(), 5), (gap_graph(FamilyParams(4, 2, 1)), 4)], ids=["petersen-r5", "gap(4,2,1)"]
+)
+def test_coloring_a_kneser_graph_never_decodes_its_edges(monkeypatch, host, r):
+    def no_decoding(masks):
+        raise AssertionError("the edge list was decoded")
+
+    monkeypatch.setattr("matchkneser.graphs._upper_neighbors", no_decoding)
+    mkg = build_matching_kneser(host, r)
+    cert = chromatic_number(mkg.graph)
+    assert cert.k == (1 if r == 5 else 2)
+    assert "edges" not in vars(mkg.graph)
+
+
+def _row_bytes(mkg):
+    return sum(row.bit_length() // 8 for row in mkg.graph.adj_masks)
+
+
+def test_row_budget_is_enforced_on_the_bytes_held(monkeypatch):
+    G = gap_graph(FamilyParams(3, 2, 1))
+    held = _row_bytes(build_matching_kneser(G, 3))
+    assert held > 0
+    monkeypatch.setattr(kneser, "KNESER_ROW_BYTES", held)
+    assert build_matching_kneser(G, 3).graph.n == 76
+    monkeypatch.setattr(kneser, "KNESER_ROW_BYTES", held - 1)
+    with pytest.raises(KneserSizeError, match=f"more than {held - 1} bytes"):
+        build_matching_kneser(G, 3)
+
+
+def test_rows_of_an_edgeless_kneser_graph_fit_any_budget(monkeypatch):
+    monkeypatch.setattr(kneser, "KNESER_ROW_BYTES", 0)
+    mkg = build_matching_kneser(gap_tree(5, 1), 5)
+    assert mkg.graph.n == 1596 and mkg.graph.m == 0
+
+
+def test_kneser_graph_is_built_from_its_rows():
+    mkg = build_matching_kneser(gap_graph(FamilyParams(3, 2, 1)), 3)
+    graph = mkg.graph
+    assert graph.m == 402
+    assert "edges" not in vars(graph)
+    reference = LabeledGraph(graph.n, graph.edges)
+    assert graph == reference and hash(graph) == hash(reference)
+
+
+def test_kneser_edges_file_is_written_from_the_rows(tmp_path):
+    mkg = build_matching_kneser(gap_graph(FamilyParams(3, 2, 1)), 3)
+    assert mkg.host.roles is not None and mkg.graph.roles is None
+    graph_path, _ = write_kneser_files(mkg, tmp_path / "mkg")
+    assert "edges" not in vars(mkg.graph)
+    expected = "\n".join(edgelist_lines(make_graph(mkg.graph.n, mkg.graph.edges))) + "\n"
+    assert graph_path.read_bytes() == expected.encode()

@@ -92,6 +92,13 @@ def test_chi_above_bound_aborts():
         assemble_report("fake", 2, P4, deletion, fake)
 
 
+def test_unknown_when_the_row_budget_blocks_chi(monkeypatch):
+    monkeypatch.setattr("matchkneser.kneser.KNESER_ROW_BYTES", 0)
+    rep = gap_report(matching_graph(7), 3)
+    assert rep.verdict == UNKNOWN
+    assert rep.chi is None and rep.removal_bound == 5
+
+
 def test_unknown_when_kneser_cap_blocks_chi():
     rep = gap_report(petersen(), 5, kneser_cap=1)
     assert rep.verdict == UNKNOWN
