@@ -553,16 +553,12 @@ def parse_edgelist(text: str) -> LabeledGraph:
 
 
 def write_edgelist(G: LabeledGraph, path: str | Path) -> None:
-    """Write G in edge-list format.
+    """Write G in edge-list format, row by row from its neighbor masks.
 
-    A graph built from its neighbor masks, with no edge list decoded, is
-    written row by row from the masks: no edge tuple and no line list is
-    built, and the bytes are the same as from its edge list.
+    No edge tuple and no line list is built; the bytes are those of
+    edgelist_lines(G), one per line.
     """
 
-    if "edges" in G.__dict__:
-        Path(path).write_text("\n".join(edgelist_lines(G)) + "\n")
-        return
     with open(path, "w") as fh:
         fh.writelines(line + "\n" for line in _header_lines(G))
         for u, vs in _upper_neighbors(G.adj_masks):

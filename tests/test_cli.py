@@ -170,6 +170,13 @@ def test_certify_writes_witnesses(tmp_path, capsys):
     assert (tmp_path / "cert.backward.txt").read_text().splitlines()
 
 
+def test_certify_over_cap_is_refused_by_the_closed_form_count(capsys):
+    assert main(["certify", "--r", "3", "--theta", "3", "--gamma", "1", "--kneser-cap", "5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gap graph (r=3, theta=3, gamma=1) has 190 r-matchings, more than the cap of 5\n"
+
+
 def test_timeout_exit_code(petersen_file, capsys):
     assert main(["chi", "--in", str(petersen_file), "--timeout", "-1"]) == EXIT_UNKNOWN
     assert "timeout" in capsys.readouterr().err

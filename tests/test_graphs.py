@@ -157,6 +157,13 @@ def test_mask_built_graph_is_written_from_its_rows(tmp_path, roles):
     assert read_edgelist(tmp_path / "h.edges") == make_graph(4, G.edges)
 
 
+@pytest.mark.parametrize("G", [make_graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)]), make_graph(3, []), petersen()])
+def test_edge_built_graph_is_written_from_its_rows(tmp_path, G):
+    write_edgelist(G, tmp_path / "g.edges")
+    assert (tmp_path / "g.edges").read_text() == "\n".join(edgelist_lines(G)) + "\n"
+    assert read_edgelist(tmp_path / "g.edges") == G
+
+
 def test_connectivity():
     assert is_connected(P4)
     assert not is_connected(make_graph(4, [(0, 1), (2, 3)]))
