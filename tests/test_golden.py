@@ -5,7 +5,9 @@ pairwise Kneser construction that came before the saturation-level bitsets
 and the row unions. Any later change to the branching order, the vertex
 order of a matching Kneser graph or the text of ``verify all`` changes a
 digest here and fails loudly, even where the result is still a valid
-certificate.
+certificate. The family certificates and the ``certify`` files were
+recorded while the color-class check still counted edge-disjoint pairs by
+inclusion-exclusion, before it moved to pairwise mask tests.
 """
 
 import hashlib
@@ -13,7 +15,16 @@ import json
 
 import pytest
 
-from matchkneser import FamilyParams, build_matching_kneser, chromatic_number, gap_graph, gap_tree, kneser_graph, petersen
+from matchkneser import (
+    FamilyParams,
+    build_matching_kneser,
+    certify_family,
+    chromatic_number,
+    gap_graph,
+    gap_tree,
+    kneser_graph,
+    petersen,
+)
 from matchkneser.cli import EXIT_OK, main
 
 
@@ -60,6 +71,28 @@ MATCHING_KNESER = {
     ),
 }
 
+# (r, theta, gamma) -> digest of certify_family's counts, pulled coloring,
+# forward and backward mappings and small-Kneser coloring
+FAMILY_CERTIFICATES = {
+    (3, 1, 1): "ca53c5de7adbbca15cf9db1f2c3cfe61a236331793b4d36325299169c004fdc1",
+    (3, 2, 1): "8e9f03481fc10058b54b26f9398728a364da8875b6f00549cd5b7b29f2cbf7e5",
+    (3, 3, 1): "e80f38b0e659f7f0b71e35a020cc6475e9101c0c98451b556c10eeff2d4370b3",
+    (4, 1, 1): "925fc02a3dea59ed999a6d636d9a52df61a911d18781feeef8a870c4bda4c6f9",
+    (4, 1, 2): "7722704ab6754c1a81687584ac07d5c52af03c2ac0176db0b41adcf9dcbdb47b",
+    (4, 2, 2): "ce06e70f1b9f76b5aeb5e37f455892025ca891b8cb8af84d948fbc1e0aac3bd1",
+    (4, 3, 1): "b8e886bdc14532b47ebeb2e9e67d586833ce41241c536d2faa4dae7ee559b7d0",
+    (5, 2, 1): "20974aa8de1d5fa522aad3f1adffd93d570dd1a4c4d39f3d3f28709731fd22a3",
+    (5, 3, 3): "35260b8af8e69ae82e135955b32f1906727f1307703f0818bc70a5da114604f6",
+}
+
+# ``certify --r 3 --theta 3 --gamma 1 --out BASE``: file suffix -> digest of its bytes
+CERTIFY_FILES = {
+    ".json": "e3263fe830a5cd7455f9476a76d41e9ca5ccc2e82a184af7985109b31413ebbf",
+    ".forward.txt": "09d7b32b69145836b6bf7e0c67bab544480fb0e7a9cb0544c43c979906d86c7f",
+    ".backward.txt": "164572523547a39bd27b793aa4793502cfc043be6e77cc5b8e0a177569f07a5c",
+}
+CERTIFY_TEXT = "4c77d48dd08eb11946d56e1fa8516a02d8a50470ebe19dc42b6294c4d901ef9f"
+
 VERIFY_ALL = "1a901673cb4c5f454eb35f5d1931620d2cf2675b6e4ff7cca78b88799e1f80a1"
 
 
@@ -89,3 +122,25 @@ def test_matching_kneser_graphs_and_certificates_are_pinned(label):
 def test_verify_all_output_is_pinned(capsys):
     assert main(["verify", "all"]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL
+
+
+@pytest.mark.parametrize("grid", sorted(FAMILY_CERTIFICATES))
+def test_family_certificates_are_pinned(grid):
+    c = certify_family(FamilyParams(*grid))
+    payload = [
+        c.n_matchings,
+        c.pairs_checked,
+        c.chi_certificate.coloring,
+        c.forward.mapping,
+        c.backward.mapping,
+        c.kneser_certificate.coloring,
+    ]
+    assert _digest(payload) == FAMILY_CERTIFICATES[grid]
+
+
+def test_certify_files_are_pinned(tmp_path, capsys):
+    base = tmp_path / "cert"
+    assert main(["certify", "--r", "3", "--theta", "3", "--gamma", "1", "--out", str(base)]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CERTIFY_TEXT
+    for suffix, digest in CERTIFY_FILES.items():
+        assert hashlib.sha256((tmp_path / f"cert{suffix}").read_bytes()).hexdigest() == digest
