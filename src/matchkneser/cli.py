@@ -158,12 +158,11 @@ def _run_gen(args: argparse.Namespace) -> int:
         G = gap_tree(args.r, args.theta)
     else:
         G = petersen()
-    text = "\n".join(edgelist_lines(G))
     if args.out is not None:
         write_edgelist(G, args.out)
         print(f"wrote {args.out} ({G.n} vertices, {G.m} edges)")
     else:
-        print(text)
+        print("\n".join(edgelist_lines(G)))
     return EXIT_OK
 
 

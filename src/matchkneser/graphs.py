@@ -41,7 +41,8 @@ class LabeledGraph:
     vertex with a construction label such as ``"x2"`` or ``"w13"`` (empty
     string for untagged vertices); labels are metadata only and never
     influence any algorithm. Equality and hashing are over
-    ``(n, edges, roles)`` whichever form a graph was built from, and no
+    ``(n, adj_masks, roles)`` whichever form a graph was built from, so a
+    mask-built graph is compared without decoding its edges, and no
     attribute can be assigned.
     """
 
@@ -72,10 +73,10 @@ class LabeledGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented
-        return (self.n, self.edges, self.roles) == (other.n, other.edges, other.roles)
+        return (self.n, self.adj_masks, self.roles) == (other.n, other.adj_masks, other.roles)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges, self.roles))
+        return hash((self.n, self.adj_masks, self.roles))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -555,14 +556,15 @@ def parse_edgelist(text: str) -> LabeledGraph:
 def write_edgelist(G: LabeledGraph, path: str | Path) -> None:
     """Write G in edge-list format, row by row from its neighbor masks.
 
-    No edge tuple and no line list is built; the bytes are those of
-    edgelist_lines(G), one per line.
+    No edge tuple and no line list is built: each row's lines are joined
+    into one string, and only that row's text is held at a time. The bytes
+    are those of edgelist_lines(G), one per line.
     """
 
     with open(path, "w") as fh:
         fh.writelines(line + "\n" for line in _header_lines(G))
         for u, vs in _upper_neighbors(G.adj_masks):
-            fh.writelines(map(f"{u} {{}}\n".format, vs))
+            fh.write(f"{u} " + f"\n{u} ".join(map(str, vs)) + "\n")
 
 
 def read_edgelist(path: str | Path) -> LabeledGraph:

@@ -17,20 +17,16 @@ computing it on each matching already proves it a homomorphism (see
 :func:`certify_family`). The pulled-back coloring is checked on every pair
 by :func:`check_color_classes`: matchings whose pair-edge sets intersect
 share an edge, so inside a color class only groups with disjoint pair-edge
-sets need an exact count of edge-disjoint pairs
-(:func:`disjoint_pair_count`), and on the family's own colorings no group
-pair does. The backward map is checked edge by edge over its source, the
-small Kneser graph K(l, r - t).
+sets need their masks tested pair by pair, and on the family's own
+colorings no group pair does. The backward map is checked edge by edge over
+its source, the small Kneser graph K(l, r - t).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
 from math import comb
-from operator import mul
 from typing import Any, Sequence
 
 from .coloring import ChiCertificate, chromatic_number, lovasz_chi
@@ -41,8 +37,6 @@ from .kneser import capped_matchings, kneser_graph, r_subsets
 
 # Unused here, but kept bound: perfbench/spans.py wraps this attribute of this module.
 from .graphs import iter_matchings  # noqa: F401
-
-_DEADLINE_STRIDE = 4096  # matchings counted between deadline checks
 
 # certify_family never builds the Kneser graph: it stores each matching's
 # edge tuple and mask, about 210-240 bytes per matching at r = 5 and r = 7,
@@ -175,34 +169,7 @@ def hom_witness_lines(witness: HomWitness) -> list[str]:
     ]
 
 
-def disjoint_pair_count(matchings: Sequence[Matching], deadline: Deadline) -> int:
-    """The number of ordered pairs (a, b) of ``matchings`` that share no edge.
-
-    Every matching must be canonical, its edges sorted, so that the same set
-    of edges is always the same tuple. Let cnt[A] be the number of matchings
-    that contain the sub-matching A. By inclusion-exclusion, the matchings
-    disjoint from a number the sum over A within a of (-1)^|A| cnt[A].
-    Summing over every a counts each A once per matching that contains it,
-    so the total is the sum over all A of (-1)^|A| cnt[A]^2. The sum runs
-    one size j at a time: the j-edge sub-matchings of a sorted matching are
-    its j-combinations, which come out sorted, so one Counter over them is
-    cnt at size j, and only one size is held at a time.
-    """
-
-    total = len(matchings) ** 2  # A empty: every matching contains it
-    for j in range(1, max(map(len, matchings), default=0) + 1):
-        cnt: Counter[Matching] = Counter()
-        for start in range(0, len(matchings), _DEADLINE_STRIDE):
-            deadline.check("pulled-back coloring check")
-            chunk = matchings[start:start + _DEADLINE_STRIDE]
-            cnt.update(chain.from_iterable(map(combinations, chunk, repeat(j))))
-        squares = sum(map(mul, cnt.values(), cnt.values()))
-        total += -squares if j & 1 else squares
-    return total
-
-
 def check_color_classes(
-    matchings: Sequence[Matching],
     masks: Sequence[int],
     coloring: Sequence[int],
     key_bits: int,
@@ -210,40 +177,44 @@ def check_color_classes(
 ) -> None:
     """Raise :class:`VerificationError` if a color class holds two edge-disjoint matchings.
 
-    ``masks[i]`` is the edge bitmask of ``matchings[i]`` and ``coloring[i]``
-    its color. Within a class the matchings fall into groups by their key
+    ``masks[i]`` is the edge bitmask of a matching and ``coloring[i]`` its
+    color. Within a class the matchings fall into groups by their key
     ``mask & key_bits``. Two matchings whose keys intersect share an edge,
     so a pair of groups with intersecting keys -- a group with a non-zero
     key paired with itself included -- holds no edge-disjoint pair. Only a
     pair of groups with disjoint keys (a zero key paired with itself
-    included) gets the exact count, by :func:`disjoint_pair_count` over the
-    union of the two groups, which must be 0. The cost is one pass over the
-    matchings plus the square of the number of groups in each class. Classes
-    are checked in increasing color order, so the lowest improper color is
-    the one named; ``deadline`` is checked once per class and once per
-    exact count.
+    included) is tested, mask against mask with ``not x & y``, up to the
+    first disjoint pair; the first such test groups all masks by
+    (color, key) in one pass. Without one the cost is a pass over the
+    matchings plus the square of the number of groups in each class.
+    Classes are checked in increasing color order, so the lowest improper
+    color is the one named; ``deadline`` is checked once per class, once
+    per tested group pair and once per member of that pair's first group.
     """
 
+    stage = "pulled-back coloring check"
     keys_of: dict[int, list[int]] = {}
     for color, key in sorted(set(zip(coloring, map(key_bits.__and__, masks)))):
         keys_of.setdefault(color, []).append(key)
+    groups: dict[tuple[int, int], list[int]] = {}
     for color, keys in keys_of.items():
-        deadline.check("pulled-back coloring check")
+        deadline.check(stage)
         for i, a in enumerate(keys):
             for b in keys[i:]:
                 if a & b:
                     continue
-                deadline.check("pulled-back coloring check")
-                members = [
-                    matching
-                    for matching, mask, c in zip(matchings, masks, coloring)
-                    if c == color and (mask & key_bits) in (a, b)
-                ]
-                if disjoint_pair_count(members, deadline):
-                    raise VerificationError(
-                        f"pulled-back coloring is improper: color class {color} "
-                        f"holds edge-disjoint matchings"
-                    )
+                deadline.check(stage)
+                if not groups:
+                    for c, mask in zip(coloring, masks):
+                        groups.setdefault((c, mask & key_bits), []).append(mask)
+                first, second = groups[color, a], groups[color, b]
+                for j, x in enumerate(first, 1):
+                    deadline.check(stage)
+                    if any(not x & y for y in (second[j:] if a == b else second)):
+                        raise VerificationError(
+                            f"pulled-back coloring is improper: color class {color} "
+                            f"holds edge-disjoint matchings"
+                        )
 
 
 def certify_family(
@@ -268,8 +239,8 @@ def certify_family(
     in K(l, r - t). :func:`forward_map` raising on no matching is the whole
     proof. The same fact makes step (b) cheap: a color class of K(l, r - t)
     holds no two disjoint subsets, so any two pair-edge sets in one pulled
-    class intersect and the exact count in :func:`check_color_classes`
-    never runs. Any verification failure raises :class:`VerificationError`
+    class intersect and :func:`check_color_classes` never tests a pair of
+    masks. Any verification failure raises :class:`VerificationError`
     -- it would mean a bug, not an ambiguous input.
 
     An instance whose closed-form r-matching count
@@ -322,7 +293,7 @@ def certify_family(
     forward_idx = tuple(index_of[mask & pair_bits] for mask in masks)
     pulled_coloring = tuple(map(small_cert.coloring.__getitem__, forward_idx))
 
-    check_color_classes(matchings, masks, pulled_coloring, pair_bits, deadline)
+    check_color_classes(masks, pulled_coloring, pair_bits, deadline)
 
     # Backward homomorphism: every image is an r-matching of the host (found
     # by bisection, as ``matchings`` is sorted), round-trips through forward,

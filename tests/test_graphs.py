@@ -115,6 +115,13 @@ def test_mask_built_and_edge_built_graphs_agree(G):
     assert H.adj == G.adj and H.edge_set == G.edge_set and H.adj_masks == G.adj_masks
 
 
+def test_hashing_and_comparing_a_mask_built_graph_leaves_its_edges_undecoded():
+    G = petersen()
+    H = _from_masks(G)
+    assert hash(H) == hash(G) and H == G and H != _from_masks(P4)
+    assert "edges" not in vars(H)
+
+
 def test_graphs_differ_when_any_part_differs():
     H = _from_masks(P4)
     assert H != _from_masks(make_graph(4, [(0, 1), (1, 2)]))

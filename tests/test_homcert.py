@@ -34,7 +34,6 @@ from matchkneser.coloring import check_coloring
 from matchkneser.homcert import (
     CERTIFY_MATCHING_CAP,
     check_color_classes,
-    disjoint_pair_count,
     find_violation,
     hom_witness_lines,
 )
@@ -226,35 +225,6 @@ def test_pulled_back_coloring_is_proper():
     assert certification.chi_certificate.witness.source_chi.k == 3
 
 
-@pytest.mark.parametrize("params", [FamilyParams(3, 2, 1), FamilyParams(4, 2, 2), FamilyParams(4, 2, 1)])
-@pytest.mark.parametrize("k", (1, 2, 3))
-def test_disjoint_pair_count_against_brute_force(params, k):
-    matchings, _ = capped_matchings(gap_graph(params), params.r)
-    rng = random.Random(97 * k + params.l)
-    color = [rng.randrange(k) for _ in matchings]
-    for c in range(k):
-        members = [matchings[i] for i in range(len(matchings)) if color[i] == c]
-        edge_sets = [set(mt) for mt in members]
-        brute = sum(2 for a, b in combinations(edge_sets, 2) if a.isdisjoint(b))
-        assert disjoint_pair_count(members, Deadline(None)) == brute
-
-
-def test_disjoint_pair_count_small_cases():
-    assert disjoint_pair_count([], Deadline(None)) == 0
-    assert disjoint_pair_count([(0, 1), (0, 1)], Deadline(None)) == 0
-    assert disjoint_pair_count([(0, 1), (2,), (1, 2)], Deadline(None)) == 2
-    matchings, _ = capped_matchings(gap_graph(FamilyParams(3, 2, 1)), 3)
-    assert disjoint_pair_count(matchings, Deadline(None)) == 804
-
-
-def test_disjoint_pair_count_mixed_sizes():
-    # Sorted tuples of 1 to 5 elements: every size j from 1 to 5 contributes.
-    rng = random.Random(5)
-    members = [tuple(sorted(rng.sample(range(9), rng.randint(1, 5)))) for _ in range(60)]
-    brute = sum(1 for a in members for b in members if set(a).isdisjoint(b))
-    assert brute and disjoint_pair_count(members, Deadline(None)) == brute
-
-
 def test_improper_pulled_coloring_is_refused(monkeypatch):
     params = FamilyParams(3, 2, 1)
     real = homcert.chromatic_number
@@ -337,11 +307,11 @@ def _pair_bits(G, params):
     return sum(1 << i for i, e in enumerate(G.edges) if e in pair_edges)
 
 
-def _improper_class(matchings, masks, coloring, key_bits):
+def _improper_class(masks, coloring, key_bits, deadline=None):
     """The color check_color_classes names, or None when it accepts."""
 
     try:
-        check_color_classes(matchings, masks, coloring, key_bits, Deadline(None))
+        check_color_classes(masks, coloring, key_bits, deadline or Deadline(None))
     except VerificationError as err:
         return int(re.search(r"color class (\d+) holds", str(err)).group(1))
     return None
@@ -355,18 +325,6 @@ def _improper_class_oracle(matchings, coloring):
         if any(a.isdisjoint(b) for a, b in combinations(members, 2)):
             return c
     return None
-
-
-class _CountingCalls:
-    """Wraps a function and counts its calls."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.fn(*args, **kwargs)
 
 
 # THEOREM2_GRID plus the survey-grid hosts with at most about 2,000 matchings.
@@ -395,11 +353,11 @@ def test_check_color_classes_matches_pairwise_oracle(grid):
         expected = _improper_class_oracle(matchings, coloring)
         outcomes.add(expected is None)
         for key_bits in (pair_bits, 0, (1 << G.m) - 1):
-            assert _improper_class(matchings, masks, coloring, key_bits) == expected
+            assert _improper_class(masks, coloring, key_bits) == expected
     assert outcomes == {True, False} or params.theta == 1
 
 
-def test_disjoint_key_groups_meeting_at_a_hub_edge_are_accepted(monkeypatch):
+def test_disjoint_key_groups_meeting_at_a_hub_edge_are_accepted():
     # gap(3,2,1): l = 4 pairs, one hub z1. The two groups have disjoint keys
     # {x1y1, x2y2} and {x3y3, x4y4}, but every matching uses the hub edge w1 z1.
     p = FamilyParams(3, 2, 1)
@@ -409,20 +367,15 @@ def test_disjoint_key_groups_meeting_at_a_hub_edge_are_accepted(monkeypatch):
     a = tuple(sorted([p.x_edge(1), p.x_edge(2), hub]))
     b = tuple(sorted([p.x_edge(3), p.x_edge(4), hub]))
     mask_of = dict(zip(matchings, masks))
-    counter = _CountingCalls(homcert.disjoint_pair_count)
-    monkeypatch.setattr(homcert, "disjoint_pair_count", counter)
     recorder = CountingDeadline()
-    check_color_classes([a, b], [mask_of[a], mask_of[b]], (1, 1), _pair_bits(G, p), recorder)
-    assert counter.calls == 1
-    # One check for the class, one for the exact count, then the count's own.
-    assert recorder.stages[:2] == ["pulled-back coloring check"] * 2
+    check_color_classes([mask_of[a], mask_of[b]], (1, 1), _pair_bits(G, p), recorder)
+    # One check for the class, one for the tested group pair, one for the
+    # single member of its first group.
+    assert recorder.stages == ["pulled-back coloring check"] * 3
     # Move the second matching's hub edge to w2 z1: now the pair is disjoint.
     moved = tuple(sorted([p.x_edge(3), p.x_edge(4), (p.w_vertex(2), p.z_vertex(1))]))
     with pytest.raises(VerificationError, match="color class 1 holds edge-disjoint matchings"):
-        check_color_classes(
-            [a, moved], [mask_of[a], mask_of[moved]], (1, 1), _pair_bits(G, p), Deadline(None)
-        )
-    assert counter.calls == 2
+        check_color_classes([mask_of[a], mask_of[moved]], (1, 1), _pair_bits(G, p), Deadline(None))
 
 
 def test_a_truly_disjoint_pair_is_rejected_naming_its_color():
@@ -430,23 +383,78 @@ def test_a_truly_disjoint_pair_is_rejected_naming_its_color():
     G = gap_graph(p)
     matchings, masks = capped_matchings(G, p.r)
     coloring = list(certify_family(p).chi_certificate.coloring)
-    check_color_classes(matchings, masks, coloring, _pair_bits(G, p), Deadline(None))
+    check_color_classes(masks, coloring, _pair_bits(G, p), Deadline(None))
     # Add a third color holding one matching and its edge-disjoint partner.
     a, b = next((a, b) for a, b in combinations(range(len(masks)), 2) if not masks[a] & masks[b])
     coloring[a] = coloring[b] = 2
     with pytest.raises(VerificationError, match="color class 2 holds edge-disjoint matchings"):
-        check_color_classes(matchings, masks, coloring, _pair_bits(G, p), Deadline(None))
+        check_color_classes(masks, coloring, _pair_bits(G, p), Deadline(None))
 
 
 @pytest.mark.parametrize("grid", SURVEY_GRID)
-def test_survey_certificates_never_take_the_exact_count(grid, monkeypatch):
+def test_survey_certificates_never_take_the_exact_count(grid):
     params = FamilyParams(*grid)
-    counter = _CountingCalls(homcert.disjoint_pair_count)
-    monkeypatch.setattr(homcert, "disjoint_pair_count", counter)
     recorder = CountingDeadline()
     certification = certify_family(params, deadline=recorder)
-    assert counter.calls == 0
-    # One deadline check per color class, none for an exact count.
+    # One deadline check per color class, none for a tested group pair.
     assert recorder.stages.count("pulled-back coloring check") == params.theta
     n = certification.n_matchings
     assert certification.pairs_checked == n * (n - 1) // 2
+
+
+def _star_coloring(G, params, masks):
+    """Each matching takes the index of its hub edge; hub-free matchings share color m.
+
+    With one hub (gamma = r - 2) a matching holds at most one hub edge, all
+    matchings in a hub-edge class share it, and r pair edges out of
+    l = theta + 2(r - 2) < 2r always meet: the coloring is proper. Its
+    classes hold many pairs of disjoint pair-edge sets, so every such group
+    pair is tested mask by mask.
+    """
+
+    assert params.t == 1
+    z = params.z_vertex(1)
+    hub_bits = sum(1 << i for i, e in enumerate(G.edges) if z in e)
+    return [(mask & hub_bits).bit_length() - 1 if mask & hub_bits else G.m for mask in masks]
+
+
+def _plant_disjoint_pair(params, matchings, coloring, color):
+    """A copy of ``coloring`` with two edge-disjoint matchings moved to ``color``.
+
+    The two take pair edges 1..r-1 and r..2r-2 and the hub edges w1 z1 and
+    w2 z1, which meet at the hub but are different edges.
+    """
+
+    p = params
+    halves = (range(1, p.r), range(p.r, 2 * p.r - 1))
+    planted = list(coloring)
+    for k, half in enumerate(halves, 1):
+        mt = tuple(sorted([p.x_edge(i) for i in half] + [(p.w_vertex(k), p.z_vertex(1))]))
+        planted[matchings.index(mt)] = color
+    return planted
+
+
+def test_star_coloring_agrees_with_pairwise_oracle():
+    params = FamilyParams(5, 2, 3)  # gap_tree(5, 2)
+    G = gap_graph(params)
+    matchings, masks = capped_matchings(G, params.r)
+    star = _star_coloring(G, params, masks)
+    planted = _plant_disjoint_pair(params, matchings, star, G.m + 1)
+    for coloring in (star, planted):
+        expected = _improper_class_oracle(matchings, coloring)
+        for key_bits in (_pair_bits(G, params), 0, (1 << G.m) - 1):
+            assert _improper_class(masks, coloring, key_bits) == expected
+    assert _improper_class_oracle(matchings, planted) == G.m + 1
+
+
+def test_star_coloring_of_a_large_tree_is_checked_in_time():
+    # gap_tree(6, 2): 67,494 matchings, 273 color classes and about 33,000
+    # group pairs with disjoint keys, each tested on its masks alone.
+    params = FamilyParams(6, 2, 4)
+    G = gap_graph(params)
+    matchings, masks = capped_matchings(G, params.r)
+    pair_bits = _pair_bits(G, params)
+    star = _star_coloring(G, params, masks)
+    assert _improper_class(masks, star, pair_bits, Deadline(30)) is None
+    planted = _plant_disjoint_pair(params, matchings, star, G.m + 1)
+    assert _improper_class(masks, planted, pair_bits, Deadline(30)) == G.m + 1
