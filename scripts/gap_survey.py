@@ -9,6 +9,7 @@ the gap between the removal bound and the chromatic number.
 import argparse
 
 from matchkneser import FamilyParams, certify_family, gap_graph, min_deletion_set
+from matchkneser.cli import parse_seconds
 from matchkneser.report import assemble_report, reports_table
 
 
@@ -16,7 +17,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-r", type=int, default=5)
     ap.add_argument("--max-theta", type=int, default=3)
-    ap.add_argument("--timeout", type=float, default=120.0)
+    ap.add_argument("--timeout", type=parse_seconds, default=120.0)
     args = ap.parse_args()
 
     reports = []

@@ -8,6 +8,7 @@ number stays pinned at theta, so the gap D - chi walks off to infinity.
 import argparse
 
 from matchkneser import sequence_report
+from matchkneser.cli import parse_seconds
 from matchkneser.report import reports_json, reports_table
 
 
@@ -16,7 +17,7 @@ def main() -> None:
     ap.add_argument("--theta", type=int, default=1)
     ap.add_argument("--r", type=int, nargs="+", default=[3, 4, 5])
     ap.add_argument("--format", choices=("json", "text"), default="text")
-    ap.add_argument("--timeout", type=float, default=300.0)
+    ap.add_argument("--timeout", type=parse_seconds, default=300.0)
     args = ap.parse_args()
 
     reports = sequence_report(args.theta, args.r, time_budget=args.timeout)

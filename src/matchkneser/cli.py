@@ -3,7 +3,8 @@
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
 3 timeout (result unknown). Identical invocations produce byte-identical
 output; the only environment influence is MATCHKNESER_TIMEOUT overriding
-the default time budget (a value that is not a number is a usage error).
+the default time budget (a value that is not a number of seconds, NaN
+included, is a usage error, as it is for ``--timeout``).
 """
 
 from __future__ import annotations
@@ -40,17 +41,30 @@ EXIT_UNKNOWN = 3
 TIMEOUT_ENV_VAR = "MATCHKNESER_TIMEOUT"
 
 
+def parse_seconds(text: str) -> float:
+    """The value of a ``--timeout`` flag or of MATCHKNESER_TIMEOUT: any float but NaN.
+
+    A NaN budget would never expire. The experiment scripts parse their
+    ``--timeout`` with this too.
+    """
+
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if math.isnan(seconds):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number of seconds")
+    return seconds
+
+
 def _default_timeout() -> float:
     raw = os.environ.get(TIMEOUT_ENV_VAR)
     if raw is None:
         return DEFAULT_TIME_BUDGET
     try:
-        seconds = float(raw)
-    except ValueError:
-        seconds = math.nan
-    if math.isnan(seconds):
-        raise ParameterError(f"{TIMEOUT_ENV_VAR}={raw!r} is not a number of seconds")
-    return seconds
+        return parse_seconds(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ParameterError(f"{TIMEOUT_ENV_VAR}={exc}") from None
 
 
 def _matching_cap(text: str) -> int:
@@ -65,6 +79,15 @@ def _matching_cap(text: str) -> int:
     return cap
 
 
+# gen's families: the parameter flags each one reads, and its generator.
+_GEN_FAMILIES = {
+    "matching": (("l",), lambda a: matching_graph(a.l)),
+    "gap": (("r", "theta", "gamma"), lambda a: gap_graph(FamilyParams(r=a.r, theta=a.theta, gamma=a.gamma))),
+    "tree": (("r", "theta"), lambda a: gap_tree(a.r, a.theta)),
+    "petersen": ((), lambda a: petersen()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchkneser",
@@ -77,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the flags its runner reads, so a flag it
     # would ignore is a usage error instead.
     def add_timeout_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--timeout", type=float, default=timeout, metavar="SECONDS")
+        p.add_argument("--timeout", type=parse_seconds, default=timeout, metavar="SECONDS")
 
     def add_solve_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
@@ -87,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kneser-cap", type=_matching_cap, default=default, metavar="N")
 
     gen = sub.add_parser("gen", help="write a family instance in edge-list format")
-    gen.add_argument("--family", required=True, choices=("matching", "gap", "tree", "petersen"))
+    gen.add_argument("--family", required=True, choices=tuple(_GEN_FAMILIES))
     gen.add_argument("--l", type=int)
     gen.add_argument("--r", type=int)
     gen.add_argument("--theta", type=int)
@@ -147,17 +170,13 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _run_gen(args: argparse.Namespace) -> int:
-    if args.family == "matching":
-        _require(args, "l")
-        G = matching_graph(args.l)
-    elif args.family == "gap":
-        _require(args, "r", "theta", "gamma")
-        G = gap_graph(FamilyParams(r=args.r, theta=args.theta, gamma=args.gamma))
-    elif args.family == "tree":
-        _require(args, "r", "theta")
-        G = gap_tree(args.r, args.theta)
-    else:
-        G = petersen()
+    reads, build = _GEN_FAMILIES[args.family]
+    unread = [f"--{name}" for name in ("l", "r", "theta", "gamma")
+              if name not in reads and getattr(args, name) is not None]
+    if unread:
+        raise ParameterError(f"--family {args.family} does not read {', '.join(unread)}")
+    _require(args, *reads)
+    G = build(args)
     if args.out is not None:
         write_edgelist(G, args.out)
         print(f"wrote {args.out} ({G.n} vertices, {G.m} edges)")

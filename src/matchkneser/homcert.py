@@ -26,21 +26,22 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Any, Sequence
 
 from .coloring import ChiCertificate, chromatic_number, lovasz_chi
 from .errors import Deadline, KneserSizeError, ParameterError, VerificationError, ensure_deadline
 from .families import FamilyParams, gap_graph
-from .graphs import Edge, LabeledGraph, Matching
+from .graphs import Edge, LabeledGraph, Matching, MatchingView, decode_matching
 from .kneser import capped_matchings, kneser_graph, r_subsets
 
 # Unused here, but kept bound: perfbench/spans.py wraps this attribute of this module.
 from .graphs import iter_matchings  # noqa: F401
 
 # certify_family never builds the Kneser graph: it stores each matching's
-# edge tuple and mask, about 210-240 bytes per matching at r = 5 and r = 7,
-# so the cap bounds memory near 250 MB.
+# edge mask only, about 70 bytes per matching at r = 5 and 90 at r = 7 with
+# the forward map and the coloring, so the cap bounds memory near 100 MB.
 CERTIFY_MATCHING_CAP = 1_000_000
 
 
@@ -49,11 +50,12 @@ class HomWitness:
     """An explicit vertex map between two graphs, checkable edge by edge.
 
     ``source_desc[i]`` and ``target_desc[j]`` describe what each vertex index
-    stands for (an edge-matching or a subset of 1-based labels).
+    stands for: a subset of 1-based labels, or an edge-matching, read from a
+    :class:`~matchkneser.graphs.MatchingView` that decodes it on access.
     """
 
-    source_desc: tuple[Any, ...]
-    target_desc: tuple[Any, ...]
+    source_desc: Sequence[Any]
+    target_desc: Sequence[Any]
     mapping: tuple[int, ...]
 
 
@@ -259,10 +261,10 @@ def certify_family(
             f"r-matchings, more than the cap of {cap}"
         )
     G = gap_graph(p)
-    matchings, masks = capped_matchings(G, p.r, cap)
-    if len(matchings) != p.n_matchings:
+    masks = tuple(capped_matchings(G, p.r, cap))
+    if len(masks) != p.n_matchings:
         raise VerificationError(
-            f"enumerated {len(matchings)} r-matchings, closed form gives {p.n_matchings}"
+            f"enumerated {len(masks)} r-matchings, closed form gives {p.n_matchings}"
         )
 
     small = kneser_graph(p.l, p.r - p.t)
@@ -279,33 +281,34 @@ def certify_family(
 
     subsets = r_subsets(p.l, p.r - p.t)
     subset_index = {s: i for i, s in enumerate(subsets)}
+    decode = partial(decode_matching, G.edges)
     # forward_map reads only the pair edges x_i y_i, so a matching's image
-    # depends only on ``mask & pair_bits``: it is computed once per key, on
-    # the first matching with that key, which is also the first matching on
-    # which forward_map could raise.
+    # depends only on its key ``mask & pair_bits``: it is computed once per
+    # key, on the key's decoded pair edges, and keys are met in matching
+    # order, so it raises at the first matching it cannot map.
     pair_edges = {p.x_edge(i) for i in range(1, p.l + 1)}
     pair_bits = sum(1 << i for i, e in enumerate(G.edges) if e in pair_edges)
     index_of: dict[int, int] = {}
-    for matching, mask in zip(matchings, masks):
-        key = mask & pair_bits
+    for key in map(pair_bits.__and__, masks):
         if key not in index_of:
-            index_of[key] = subset_index[forward_map(matching, p)]
-    forward_idx = tuple(index_of[mask & pair_bits] for mask in masks)
+            index_of[key] = subset_index[forward_map(decode(key), p)]
+    forward_idx = tuple(map(index_of.__getitem__, map(pair_bits.__and__, masks)))
     pulled_coloring = tuple(map(small_cert.coloring.__getitem__, forward_idx))
 
     check_color_classes(masks, pulled_coloring, pair_bits, deadline)
 
     # Backward homomorphism: every image is an r-matching of the host (found
-    # by bisection, as ``matchings`` is sorted), round-trips through forward,
-    # and the map is injective; then each edge of ``small`` -- a pair of
-    # disjoint subsets, vertex ids in ``subsets`` order -- must map to
-    # edge-disjoint matchings.
+    # by bisection on the decoded masks, which come in canonical order,
+    # though not in integer order), round-trips through forward, and the map
+    # is injective; then each edge of ``small`` -- a pair of disjoint
+    # subsets, vertex ids in ``subsets`` order -- must map to edge-disjoint
+    # matchings.
     backward_images = []
     for s in subsets:
         deadline.check("backward map verification")
         image = backward_map(s, p)
-        i = bisect_left(matchings, image)
-        if i == len(matchings) or matchings[i] != image:
+        i = bisect_left(masks, image, key=decode)
+        if i == len(masks) or decode(masks[i]) != image:
             raise VerificationError(f"backward image of {s} is not an r-matching of the host")
         if forward_map(image, p) != s:
             raise VerificationError(f"forward(backward({s})) round trip failed")
@@ -316,13 +319,14 @@ def certify_family(
         if masks[backward_images[a]] & masks[backward_images[b]]:
             raise VerificationError(f"backward map is not a homomorphism at subsets ({a}, {b})")
 
+    matchings = MatchingView(G.edges, masks)
     backward_witness = HomWitness(
         source_desc=tuple(subsets),
-        target_desc=tuple(matchings),
+        target_desc=matchings,
         mapping=tuple(backward_images),
     )
     forward_witness = HomWitness(
-        source_desc=tuple(matchings),
+        source_desc=matchings,
         target_desc=tuple(subsets),
         mapping=forward_idx,
     )
@@ -331,7 +335,7 @@ def certify_family(
         coloring=pulled_coloring,
         witness=HomomorphismEvidence(witness=backward_witness, source_chi=small_cert),
     )
-    n = len(matchings)
+    n = len(masks)
     return FamilyCertification(
         params=p,
         n_matchings=n,

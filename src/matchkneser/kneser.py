@@ -9,12 +9,13 @@ classical Kneser graph K(l, r) on r-subsets of an l-set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import combinations
 from pathlib import Path
 
 from .errors import Deadline, KneserSizeError, ParameterError, ensure_deadline
 from .families import matching_graph
-from .graphs import LabeledGraph, Matching, matching_blocks, write_edgelist
+from .graphs import LabeledGraph, Matching, _bit_positions, decode_matching, matching_blocks, write_edgelist
 
 # Unused here, but kept bound: perfbench/spans.py wraps these attributes of this module.
 from .graphs import iter_matchings, make_graph  # noqa: F401
@@ -29,42 +30,47 @@ KNESER_ROW_BYTES = 1 << 30
 class MatchingKneserGraph:
     """The matching Kneser graph of ``host`` at matching size ``r``.
 
-    ``matchings[i]`` describes vertex ``i`` of ``graph``; the vertex order is
-    the canonical (lexicographic) enumeration order, so vertex ids are stable
-    across runs and usable in certificates.
+    ``masks[i]`` is the edge-index bitmask of the matching at vertex ``i``
+    of ``graph``; the vertex order is the canonical (lexicographic)
+    enumeration order, so vertex ids are stable across runs and usable in
+    certificates. ``matchings`` decodes them on first read and is cached;
+    equality and hashing are over the fields and never decode.
     """
 
     host: LabeledGraph
     r: int
-    matchings: tuple[Matching, ...]
+    masks: tuple[int, ...]
     graph: LabeledGraph
 
+    @cached_property
+    def matchings(self) -> tuple[Matching, ...]:
+        return tuple(map(partial(decode_matching, self.host.edges), self.masks))
 
-def capped_matchings(
-    G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_CAP
-) -> tuple[list[Matching], list[int]]:
-    """The r-matchings of G in canonical order, with their edge-index bitmasks.
+
+def capped_matchings(G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_CAP) -> list[int]:
+    """The r-matchings of G in canonical order, as edge-index bitmasks.
 
     Bit i of a mask stands for ``G.edges[i]``, so two matchings are
-    edge-disjoint exactly when their masks AND to zero. Raises
+    edge-disjoint exactly when their masks AND to zero, and
+    :func:`~matchkneser.graphs.decode_matching` gives a matching's edge
+    tuple. A mask is one int, 39 bytes on gap(5,3,1)'s 125 edges and 60 on
+    gap_tree(7, 1)'s 495, plus 8 for its list slot. Raises
     :class:`KneserSizeError` as soon as a block of
     :func:`~matchkneser.graphs.matching_blocks` (at most m matchings) takes
     the count past ``cap``.
     Callers rely on the order: it is the Kneser vertex order, and
-    ``certify_family`` finds matchings by bisection.
+    ``certify_family`` finds matchings by bisection on their decoded form.
     """
 
-    matchings: list[Matching] = []
     masks: list[int] = []
-    for block, block_masks in matching_blocks(G, r):
-        matchings += block
-        masks += block_masks
-        if len(matchings) > cap:
+    for block in matching_blocks(G, r):
+        masks += block
+        if len(masks) > cap:
             raise KneserSizeError(
                 f"matching Kneser graph of ({G.n} vertices, r={r}) has more than "
                 f"{cap} vertices (enumeration stopped at {cap + 1})"
             )
-    return matchings, masks
+    return masks
 
 
 def build_matching_kneser(
@@ -75,48 +81,60 @@ def build_matching_kneser(
     Refuses with :class:`KneserSizeError` when the number of r-matchings
     exceeds ``cap``; enumeration is aborted as soon as the cap is crossed.
     Row i of the adjacency is the complement of the union, over the r edges
-    of matching i, of the masks of the matchings using that edge. The rows
-    are kept whole and become the graph's ``adj_masks``, so the edge list is
-    decoded only if something reads it. Their bytes are counted as they are
-    made, and the construction refuses with :class:`KneserSizeError` as soon
-    as the total passes :data:`KNESER_ROW_BYTES`. The row loop checks
-    ``deadline`` once per row and raises :class:`SearchTimeout` when it has
-    expired.
+    of matching i, of the masks of the matchings using that edge. A run of
+    consecutive matchings shares every edge but its top bit (a block of
+    :func:`~matchkneser.graphs.matching_blocks`), so the union over the
+    shared edges is taken once per run. The rows are kept whole and become
+    the graph's ``adj_masks``, so the edge list is decoded only if something
+    reads it. Their bytes are counted as they are made, and the construction
+    refuses with :class:`KneserSizeError` as soon as the total passes
+    :data:`KNESER_ROW_BYTES`. The row loop checks ``deadline`` once per row
+    and raises :class:`SearchTimeout` when it has expired.
     """
 
     if r < 1:
         raise ParameterError("matching size r must be at least 1")
     deadline = ensure_deadline(deadline, None)
-    matchings, _ = capped_matchings(G, r, cap)
-    n = len(matchings)
-    index = {e: b for b, e in enumerate(G.edges)}
+    masks = capped_matchings(G, r, cap)
+    n = len(masks)
+    tops = [mask.bit_length() - 1 for mask in masks]
+    # runs: (first matching, host edges shared by the run), ended by a sentinel.
+    runs: list[tuple[int, list[int]]] = []
+    last = -1
+    for i, (mask, top) in enumerate(zip(masks, tops)):
+        if mask ^ (1 << top) != last:
+            last = mask ^ (1 << top)
+            runs.append((i, list(_bit_positions(last, 0))))
+    runs.append((n, []))
     # users[b]: the matchings that contain host edge b, as a mask over vertices.
-    members = [bytearray((n + 7) // 8) for _ in range(G.m)]
-    for i, matching in enumerate(matchings):
-        for e in matching:
-            members[index[e]][i >> 3] |= 1 << (i & 7)
-    users = [int.from_bytes(b, "little") for b in members]
+    users = [0] * G.m
+    for (start, shared), (end, _) in zip(runs, runs[1:]):
+        for b in shared:
+            users[b] |= ((1 << (end - start)) - 1) << start
+    for i, top in enumerate(tops):
+        users[top] |= 1 << i
     full = (1 << n) - 1
     # Row i holds the matchings sharing no edge with matching i.
     rows: list[int] = []
     held = 0
-    for i, matching in enumerate(matchings):
-        deadline.check("matching Kneser construction")
+    for (start, shared), (end, _) in zip(runs, runs[1:]):
         hit = 0
-        for e in matching:
-            hit |= users[index[e]]
-        row = full ^ hit
-        held += row.bit_length() // 8
-        if held > KNESER_ROW_BYTES:
-            raise KneserSizeError(
-                f"matching Kneser graph of ({G.n} vertices, r={r}) needs more than "
-                f"{KNESER_ROW_BYTES} bytes of adjacency rows (construction stopped at row {i} of {n})"
-            )
-        rows.append(row)
+        for b in shared:
+            hit |= users[b]
+        for i in range(start, end):
+            deadline.check("matching Kneser construction")
+            row = full ^ (hit | users[tops[i]])
+            held += row.bit_length() // 8
+            if held > KNESER_ROW_BYTES:
+                raise KneserSizeError(
+                    f"matching Kneser graph of ({G.n} vertices, r={r}) needs more than "
+                    f"{KNESER_ROW_BYTES} bytes of adjacency rows (construction stopped at row {i} of {n})"
+                )
+            rows.append(row)
     return MatchingKneserGraph(
         host=G,
         r=r,
-        matchings=tuple(matchings),
+        masks=tuple(masks),
         graph=LabeledGraph(n=n, adj_masks=tuple(rows)),
     )
 

@@ -147,16 +147,15 @@ def min_deletion_set(
     return DeletionCertificate(r=r, deleted=best_set, size=best_size, optimal=not timed_out)
 
 
-def generalized_turan(
+def optimal_deletion_set(
     G: LabeledGraph,
     r: int,
     time_budget: float | None = DEFAULT_TIME_BUDGET,
     deadline: Deadline | None = None,
-) -> int:
-    """ex(G, rK2): the maximum edge count of an (rK2)-free spanning subgraph of G.
+) -> DeletionCertificate:
+    """:func:`min_deletion_set`, proven optimal.
 
-    Computed as |E(G)| minus the minimum deletion size; raises
-    :class:`SearchTimeout` rather than returning an unproven value. Its
+    Raises :class:`SearchTimeout` rather than returning an unproven set. Its
     message brackets the optimum between nu(G) - r + 1 and the best set found.
     """
 
@@ -166,4 +165,19 @@ def generalized_turan(
         raise SearchTimeout(
             f"minimum deletion search for r={r} timed out; optimum in [{lower}, {cert.size}]"
         )
-    return G.m - cert.size
+    return cert
+
+
+def generalized_turan(
+    G: LabeledGraph,
+    r: int,
+    time_budget: float | None = DEFAULT_TIME_BUDGET,
+    deadline: Deadline | None = None,
+) -> int:
+    """ex(G, rK2): the maximum edge count of an (rK2)-free spanning subgraph of G.
+
+    Computed as |E(G)| minus the size of :func:`optimal_deletion_set`, so a
+    search that times out raises :class:`SearchTimeout`.
+    """
+
+    return G.m - optimal_deletion_set(G, r, time_budget, deadline).size

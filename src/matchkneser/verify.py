@@ -18,8 +18,8 @@ from .families import FamilyParams, gap_graph, gap_tree, matching_graph, peterse
 from .graphs import LabeledGraph, enumerate_matchings, has_r_matching, is_connected, is_tree, make_graph, radius, remove_edges
 from .homcert import certify_family
 from .kneser import build_matching_kneser, kneser_graph
-from .report import VIOLATED, sequence_report
-from .turan import generalized_turan, min_deletion_set
+from .report import UNKNOWN, VIOLATED, GapReport, sequence_report
+from .turan import generalized_turan, optimal_deletion_set
 
 PROP1_SEED = 20260809
 PROP1_GRAPH_COUNT = 200
@@ -158,10 +158,10 @@ def verify_petersen(deadline: Deadline | None = None) -> VerifyResult:
     cert = chromatic_number(mkg.graph, deadline=deadline)
     res.add("chi = 1 with edgeless witness", cert.k == 1 and cert.witness.kind == "EDGELESS")
 
-    deletion = min_deletion_set(P, 5, deadline=deadline)
+    deletion = optimal_deletion_set(P, 5, deadline=deadline)
     res.add(
         "minimum deletion set has size 3 (optimal)",
-        deletion.size == 3 and deletion.optimal,
+        deletion.size == 3,
         f"size={deletion.size}",
     )
     # Optimality double-checked by exhausting all C(15,1)+C(15,2) = 120
@@ -191,10 +191,10 @@ def verify_lovasz(deadline: Deadline | None = None) -> VerifyResult:
                 f"solver found {cert.k}",
             )
             # Removal bound of the host matching graph: l - r + 1.
-            deletion = min_deletion_set(matching_graph(l), r, deadline=deadline)
+            deletion = optimal_deletion_set(matching_graph(l), r, deadline=deadline)
             res.add(
                 f"removal bound of {l}K2 at r={r} is {l - r + 1}",
-                deletion.optimal and deletion.size == l - r + 1,
+                deletion.size == l - r + 1,
                 f"size={deletion.size}",
             )
             res.instances.append((f"matching(l={l})[r={r}]", cert.k, deletion.size))
@@ -226,10 +226,10 @@ def verify_theorem2(deadline: Deadline | None = None) -> VerifyResult:
             certification.chi_certificate.k == theta,
             f"pairs checked {certification.pairs_checked}",
         )
-        deletion = min_deletion_set(gap_graph(params), r, deadline=deadline)
+        deletion = optimal_deletion_set(gap_graph(params), r, deadline=deadline)
         res.add(
             f"{label}: removal bound = {theta + gamma}",
-            deletion.optimal and deletion.size == theta + gamma,
+            deletion.size == theta + gamma,
             f"size={deletion.size}",
         )
         res.instances.append((label, certification.chi_certificate.k, deletion.size))
@@ -267,6 +267,15 @@ def verify_prop1(deadline: Deadline | None = None) -> VerifyResult:
     return res
 
 
+def _solved(reports: list[GapReport]) -> list[GapReport]:
+    """``reports``, each with chi and D known; an UNKNOWN one makes the target UNKNOWN."""
+
+    for rep in reports:
+        if rep.verdict == UNKNOWN:
+            raise SearchTimeout(f"{rep.instance}: chi or the removal bound is unknown within the time budget")
+    return reports
+
+
 def verify_corollary(deadline: Deadline | None = None) -> VerifyResult:
     """Radius-2 trees: gap reports match theta + r - 2, and the gap grows with r."""
 
@@ -280,8 +289,7 @@ def verify_corollary(deadline: Deadline | None = None) -> VerifyResult:
                 f"{label} is a tree of radius 2",
                 is_tree(tree) and radius(tree) == 2,
             )
-            reports = sequence_report(theta, [r], deadline=deadline)
-            rep = reports[0]
+            rep = _solved(sequence_report(theta, [r], deadline=deadline))[0]
             expected_removal = theta + r - 2
             res.add(
                 f"{label}: D = {expected_removal}, chi = {theta}, VIOLATED",
@@ -291,10 +299,9 @@ def verify_corollary(deadline: Deadline | None = None) -> VerifyResult:
                 and rep.prediction_match is True,
                 f"D={rep.removal_bound}, chi={rep.chi}, verdict={rep.verdict}",
             )
-            if rep.chi is not None and rep.removal_bound is not None:
-                res.instances.append((label, rep.chi, rep.removal_bound))
+            res.instances.append((label, rep.chi, rep.removal_bound))
 
-    growth = sequence_report(1, [3, 4, 5], deadline=deadline)
+    growth = _solved(sequence_report(1, [3, 4, 5], deadline=deadline))
     gaps = [rep.gap for rep in growth]
     res.add(
         "gap sequence at theta=1 over r=3,4,5 is [1, 2, 3], strictly increasing",
@@ -306,8 +313,7 @@ def verify_corollary(deadline: Deadline | None = None) -> VerifyResult:
         all(rep.deletion_certificate is not None and rep.deletion_certificate.optimal for rep in growth),
     )
     for rep in growth:
-        if rep.chi is not None and rep.removal_bound is not None:
-            res.instances.append((rep.instance, rep.chi, rep.removal_bound))
+        res.instances.append((rep.instance, rep.chi, rep.removal_bound))
     res.add_bound_checks()
     return res
 

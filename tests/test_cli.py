@@ -62,6 +62,21 @@ def test_gen_gap_requires_parameters(capsys):
     assert "--gamma is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, unread",
+    [
+        (["--family", "petersen", "--l", "5", "--theta", "9"], "--l, --theta"),
+        (["--family", "matching", "--l", "3", "--r", "2"], "--r"),
+        (["--family", "tree", "--r", "3", "--theta", "1", "--gamma", "1"], "--gamma"),
+    ],
+)
+def test_gen_flag_the_family_does_not_read_is_usage_error(args, unread, capsys):
+    assert main(["gen", *args]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --family {args[1]} does not read {unread}\n"
+
+
 def test_gen_rejects_invalid_parameters(capsys):
     code = main(["gen", "--family", "gap", "--r", "2", "--theta", "1", "--gamma", "1"])
     assert code == EXIT_USAGE
@@ -180,6 +195,19 @@ def test_certify_over_cap_is_refused_by_the_closed_form_count(capsys):
 def test_timeout_exit_code(petersen_file, capsys):
     assert main(["chi", "--in", str(petersen_file), "--timeout", "-1"]) == EXIT_UNKNOWN
     assert "timeout" in capsys.readouterr().err
+
+
+def test_nan_timeout_is_usage_error(petersen_file, capsys):
+    assert main(["chi", "--in", str(petersen_file), "--timeout", "nan"]) == EXIT_USAGE
+    assert "'nan' is not a number of seconds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["petersen", "corollary"])
+def test_verify_with_no_time_is_unknown_not_failed(target, capsys):
+    # The deletion search returns a non-optimal set; that is no answer.
+    assert main(["verify", target, "--timeout", "0"]) == EXIT_UNKNOWN
+    out = capsys.readouterr().out
+    assert "=> UNKNOWN" in out and "=> FAILED" not in out
 
 
 def test_timeout_from_environment(petersen_file, monkeypatch, capsys):

@@ -30,7 +30,7 @@ from matchkneser import (
     remove_edges,
     write_edgelist,
 )
-from matchkneser.graphs import edgelist_lines, parse_edgelist
+from matchkneser.graphs import decode_matching, edgelist_lines, parse_edgelist
 from matchkneser.families import gap_graph, gap_tree, FamilyParams, matching_graph
 from matchkneser.kneser import capped_matchings
 
@@ -228,14 +228,15 @@ def test_enumerate_matchings_examples():
 
 
 def check_enumerator(G, r):
-    """capped_matchings against the brute-force oracle, its masks, its cap, and first_matching."""
+    """capped_matchings decoded against the brute-force oracle, its masks, its cap, and first_matching."""
 
-    matchings, masks = capped_matchings(G, r)
+    masks = capped_matchings(G, r)
+    matchings = [decode_matching(G.edges, mask) for mask in masks]
     assert matchings == brute_force_matchings(G, r)  # same matchings, same order
     bit = {e: 1 << i for i, e in enumerate(G.edges)}
     assert masks == [reduce(or_, (bit[e] for e in mt)) for mt in matchings]
     n = len(matchings)
-    assert capped_matchings(G, r, cap=n) == (matchings, masks)
+    assert capped_matchings(G, r, cap=n) == masks
     if n:
         with pytest.raises(KneserSizeError, match=rf"\(enumeration stopped at {n}\)$"):
             capped_matchings(G, r, cap=n - 1)

@@ -21,6 +21,7 @@ from matchkneser import (
     certified_chi,
     certify_family,
     colex_rank,
+    enumerate_matchings,
     forward_map,
     gap_graph,
     kneser_graph,
@@ -95,7 +96,7 @@ def _forward_reference(matching, p):
 @pytest.mark.parametrize("grid", THEOREM2_GRID)
 def test_forward_map_matches_pair_edge_scan(grid):
     params = FamilyParams(*grid)
-    matchings, _ = capped_matchings(gap_graph(params), params.r)
+    matchings = enumerate_matchings(gap_graph(params), params.r)
     # Canonical matchings, plus reordered, flipped and repeated edges.
     inputs = [((0, 9), (1, 10), (3, 12))]
     for mt in matchings:
@@ -114,7 +115,7 @@ def test_forward_witness_is_forward_map_of_every_matching(grid):
     subsets = r_subsets(params.l, params.r - params.t)
     subset_index = {s: i for i, s in enumerate(subsets)}
     assert forward.target_desc == tuple(subsets)
-    assert forward.source_desc == tuple(capped_matchings(gap_graph(params), params.r)[0])
+    assert list(forward.source_desc) == enumerate_matchings(gap_graph(params), params.r)
     assert forward.mapping == tuple(subset_index[forward_map(mt, params)] for mt in forward.source_desc)
 
 
@@ -215,6 +216,30 @@ def test_backward_map_sharing_a_hub_edge_is_refused(monkeypatch):
         certify_family(FamilyParams(3, 2, 1))
 
 
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda image, p: image[:-1],  # r - 1 edges
+        lambda image, p: image[:-1] + ((p.x_vertex(1), p.w_vertex(1)),),  # not a host edge
+        lambda image, p: image[:-1] + ((p.x_vertex(1), p.z_vertex(1)),),  # meets x_1 y_1
+        lambda image, p: image + ((p.x_vertex(p.l), p.y_vertex(p.l)),),  # r + 1 edges
+    ],
+    ids=["short", "non-edge", "not-disjoint", "long"],
+)
+def test_backward_image_that_is_no_host_matching_is_refused(monkeypatch, spoil):
+    # The lookup bisects the decoded masks; an image that is not among them
+    # must be named, whatever its place in the canonical order.
+    real = homcert.backward_map
+
+    def spoiled(subset, p):
+        image = real(subset, p)
+        return tuple(sorted(spoil(image, p))) if subset == (1, 2) else image
+
+    monkeypatch.setattr(homcert, "backward_map", spoiled)
+    with pytest.raises(VerificationError, match=r"backward image of \(1, 2\) is not an r-matching of the host"):
+        certify_family(FamilyParams(3, 2, 1))
+
+
 def test_pulled_back_coloring_is_proper():
     certification = certify_family(FamilyParams(3, 3, 1))
     mkg = build_matching_kneser(gap_graph(certification.params), 3)
@@ -264,9 +289,9 @@ def test_certify_refuses_before_it_enumerates(monkeypatch):
     real = kneser.matching_blocks
 
     def counting(G, r):
-        for block, masks in real(G, r):
+        for block in real(G, r):
             seen[G.n] += len(block)
-            yield block, masks
+            yield block
 
     monkeypatch.setattr(kneser, "matching_blocks", counting)
     tree = FamilyParams(8, 1, 6)  # gap_tree(8, 1): about 3.0M 8-matchings
@@ -284,8 +309,7 @@ def test_certify_checks_the_enumeration_against_the_closed_form(monkeypatch):
     real = homcert.capped_matchings
 
     def one_short(G, r, cap):
-        matchings, masks = real(G, r, cap)
-        return matchings[:-1], masks[:-1]
+        return real(G, r, cap)[:-1]
 
     monkeypatch.setattr(homcert, "capped_matchings", one_short)
     with pytest.raises(VerificationError, match="closed form"):
@@ -300,6 +324,29 @@ def test_witness_serialization():
     back_lines = hom_witness_lines(certification.backward)
     assert back_lines[0].startswith("0 -> ")
     assert "{1,2}" in back_lines[0]
+
+
+def test_matching_witnesses_decode_on_read_and_hash_on_masks(monkeypatch):
+    from matchkneser import graphs
+
+    certification = certify_family(FamilyParams(3, 2, 1))
+    G = gap_graph(certification.params)
+    matchings = enumerate_matchings(G, 3)
+    view = certification.forward.source_desc
+    assert certification.backward.target_desc is view
+    assert len(view) == len(matchings) == certification.n_matchings
+    assert list(view) == matchings
+    assert (view[0], view[-1]) == (matchings[0], matchings[-1])
+    assert list(view[5:12:3]) == matchings[5:12:3]
+    twin = certify_family(FamilyParams(3, 2, 1))
+
+    def no_decoding(edges, mask):
+        raise AssertionError("decoded a matching")
+
+    monkeypatch.setattr(graphs, "decode_matching", no_decoding)
+    assert hash(certification) == hash(twin) and certification == twin
+    assert view == twin.forward.source_desc and view != view[1:]
+    assert len(view) == certification.n_matchings
 
 
 def _pair_bits(G, params):
@@ -335,7 +382,8 @@ _SMALL_HOSTS = sorted(set(THEOREM2_GRID) | {(4, 2, 1), (4, 3, 2), (5, 1, 3)})
 def test_check_color_classes_matches_pairwise_oracle(grid):
     params = FamilyParams(*grid)
     G = gap_graph(params)
-    matchings, masks = capped_matchings(G, params.r)
+    masks = capped_matchings(G, params.r)
+    matchings = enumerate_matchings(G, params.r)
     pair_bits = _pair_bits(G, params)
     pulled = certify_family(params).chi_certificate.coloring
     rng = random.Random(repr(grid))
@@ -362,7 +410,8 @@ def test_disjoint_key_groups_meeting_at_a_hub_edge_are_accepted():
     # {x1y1, x2y2} and {x3y3, x4y4}, but every matching uses the hub edge w1 z1.
     p = FamilyParams(3, 2, 1)
     G = gap_graph(p)
-    matchings, masks = capped_matchings(G, p.r)
+    masks = capped_matchings(G, p.r)
+    matchings = enumerate_matchings(G, p.r)
     hub = (p.w_vertex(1), p.z_vertex(1))
     a = tuple(sorted([p.x_edge(1), p.x_edge(2), hub]))
     b = tuple(sorted([p.x_edge(3), p.x_edge(4), hub]))
@@ -381,7 +430,8 @@ def test_disjoint_key_groups_meeting_at_a_hub_edge_are_accepted():
 def test_a_truly_disjoint_pair_is_rejected_naming_its_color():
     p = FamilyParams(3, 2, 1)
     G = gap_graph(p)
-    matchings, masks = capped_matchings(G, p.r)
+    masks = capped_matchings(G, p.r)
+    matchings = enumerate_matchings(G, p.r)
     coloring = list(certify_family(p).chi_certificate.coloring)
     check_color_classes(masks, coloring, _pair_bits(G, p), Deadline(None))
     # Add a third color holding one matching and its edge-disjoint partner.
@@ -437,7 +487,8 @@ def _plant_disjoint_pair(params, matchings, coloring, color):
 def test_star_coloring_agrees_with_pairwise_oracle():
     params = FamilyParams(5, 2, 3)  # gap_tree(5, 2)
     G = gap_graph(params)
-    matchings, masks = capped_matchings(G, params.r)
+    masks = capped_matchings(G, params.r)
+    matchings = enumerate_matchings(G, params.r)
     star = _star_coloring(G, params, masks)
     planted = _plant_disjoint_pair(params, matchings, star, G.m + 1)
     for coloring in (star, planted):
@@ -452,7 +503,8 @@ def test_star_coloring_of_a_large_tree_is_checked_in_time():
     # group pairs with disjoint keys, each tested on its masks alone.
     params = FamilyParams(6, 2, 4)
     G = gap_graph(params)
-    matchings, masks = capped_matchings(G, params.r)
+    masks = capped_matchings(G, params.r)
+    matchings = enumerate_matchings(G, params.r)
     pair_bits = _pair_bits(G, params)
     star = _star_coloring(G, params, masks)
     assert _improper_class(masks, star, pair_bits, Deadline(30)) is None

@@ -30,6 +30,24 @@ from matchkneser.verify import THEOREM2_GRID
 from helpers import CountingDeadline, are_isomorphic, brute_force_matchings, graphs
 
 
+def test_matchings_are_decoded_on_read_and_cached(monkeypatch):
+    G = gap_graph(FamilyParams(3, 2, 1))
+    mkg, twin = build_matching_kneser(G, 3), build_matching_kneser(G, 3)
+    real = kneser.decode_matching
+    calls = []
+
+    def counting(edges, mask):
+        calls.append(mask)
+        return real(edges, mask)
+
+    monkeypatch.setattr(kneser, "decode_matching", counting)
+    assert hash(mkg) == hash(twin) and mkg == twin
+    assert not calls
+    assert mkg.matchings == tuple(brute_force_matchings(G, 3))
+    assert mkg.matchings is mkg.matchings
+    assert calls == list(mkg.masks)
+
+
 def test_single_vertex_kneser():
     mkg = build_matching_kneser(make_graph(4, [(0, 1), (1, 2), (2, 3)]), 2)
     assert mkg.graph.n == 1 and mkg.graph.m == 0

@@ -1,5 +1,6 @@
 """The documented experiment scripts run to completion with their default caps."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -44,7 +45,7 @@ def test_growth_table_runs_to_r_seven():
 @pytest.mark.parametrize("grid", sorted(set(THEOREM2_GRID) | set(SURVEY_GRID)))
 def test_matching_count_closed_form_agrees_with_enumeration(grid):
     params = FamilyParams(*grid)
-    matchings, _ = capped_matchings(gap_graph(params), params.r)
+    matchings = capped_matchings(gap_graph(params), params.r)
     assert gap_matching_count(params) == len(matchings)
 
 
@@ -59,3 +60,22 @@ def test_large_instances_certify_under_the_default_cap(grid, count):
     assert certification.n_matchings == count
     assert certification.pairs_checked == count * (count - 1) // 2
     assert certification.chi_certificate.k == params.theta
+
+
+def test_tracer_aliases_resolve_on_the_package():
+    # perfbench/spans.py swaps these module attributes for timing wrappers,
+    # so a name the package stops binding breaks ``run.py --trace 1``.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.INNER_CALLS
+    for module, attr, span, _ in spans.INNER_CALLS:
+        target = getattr(importlib.import_module(f"matchkneser.{module}"), attr, None)
+        assert callable(target), f"matchkneser.{module}.{attr}, traced as {span}, is gone"
+
+
+@pytest.mark.parametrize("name", ["gap_survey.py", "growth_table.py"])
+def test_nan_timeout_is_a_usage_error(name):
+    done = run_script(name, "--timeout", "nan")
+    assert done.returncode == 2
+    assert "'nan' is not a number of seconds" in done.stderr
