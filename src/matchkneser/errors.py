@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,10 +29,18 @@ class VerificationError(RuntimeError):
 
 @dataclass
 class Deadline:
-    """Wall-clock budget for a solve. ``seconds=None`` means unlimited."""
+    """Wall-clock budget for a solve. ``seconds=None`` means unlimited.
+
+    A NaN budget is refused with :class:`ParameterError`: no elapsed time
+    compares greater than NaN, so it would never expire.
+    """
 
     seconds: float | None
     started: float = field(default_factory=time.monotonic)
+
+    def __post_init__(self) -> None:
+        if self.seconds is not None and math.isnan(self.seconds):
+            raise ParameterError("time budget must be a number of seconds or None, not NaN")
 
     def expired(self) -> bool:
         return self.seconds is not None and time.monotonic() - self.started > self.seconds

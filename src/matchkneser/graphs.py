@@ -21,8 +21,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import FrozenInstanceError
 from functools import cached_property, partial
-from itertools import accumulate, chain, count, repeat
-from operator import add
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -316,41 +316,82 @@ def matching_blocks(G: LabeledGraph, r: int) -> Iterator[list[int]]:
     edge i, takes the lowest available bit first and recurses on
     ``avail & later[i]``; so each matching gains its edges in increasing
     order, and the matchings come in lexicographic order of their edge
-    tuples (not in the integer order of their masks). A branch with fewer
-    available edges than it still needs is cut. Each yielded block is the
-    non-empty run of matchings that share their first r - 1 edges: their
-    masks differ only in the top bit, the last edge added.
+    tuples (not in the integer order of their masks). Each yielded block is
+    the non-empty run of matchings that share their first r - 1 edges:
+    their masks differ only in the top bit, the last edge added.
+
+    A branch that still needs k >= 3 edges is cut as soon as its available
+    edges fail one of four counts that k pairwise disjoint edges pass:
+    k edges, k distinct lower endpoints, k distinct upper endpoints and 2k
+    distinct vertices. The branch is tested when it is entered and again
+    each time its lowest edge has been tried and dropped; a branch that
+    needs two edges builds its blocks at once. Each endpoint count reads
+    one edge mask per vertex (the edges it is the lower endpoint of, the
+    upper endpoint of, or touches) and stops once it reaches its target.
+    So near the matching number the search no longer walks partial
+    matchings that cannot be completed: at r = n/2, a branch dies at its
+    next test once a vertex it must still cover has lost its last
+    available edge. The cuts drop only branches that yield nothing, so the
+    order and the blocks are those of the uncut search.
     """
 
     if r < 1:
         raise ParameterError("matching size r must be at least 1")
     edges = G.edges
     m = len(edges)
-    touching = [0] * G.n
+    lower = [0] * G.n
+    upper = [0] * G.n
     for i, (u, v) in enumerate(edges):
-        touching[u] |= 1 << i
-        touching[v] |= 1 << i
+        lower[u] |= 1 << i
+        upper[v] |= 1 << i
+    touching = list(map(or_, lower, upper))
+    # Upper endpoints cluster at high vertex numbers, so their count scans
+    # from the top; the lowest edge's lower endpoint is the lowest vertex
+    # any available edge touches, so the other two counts start there.
+    upper_desc = upper[::-1]
+    lower_end = [u for u, _ in edges]
     full = (1 << m) - 1
     later = [(full >> (i + 1) << (i + 1)) & ~(touching[u] | touching[v]) for i, (u, v) in enumerate(edges)]
 
+    def room(avail: int, k: int) -> bool:
+        # Whether ``avail`` passes the four counts for k disjoint edges.
+        if avail.bit_count() < k:
+            return False
+        start = lower_end[(avail & -avail).bit_length() - 1]
+        return bool(
+            next(islice(filter(avail.__and__, islice(touching, start, None)), 2 * k - 1, None), 0)
+            and next(islice(filter(avail.__and__, islice(lower, start, None)), k - 1, None), 0)
+            and next(islice(filter(avail.__and__, upper_desc), k - 1, None), 0)
+        )
+
     def grow(mask: int, avail: int, need: int) -> Iterator[list[int]]:
-        # ``avail`` holds at least ``need`` edges.
-        if need == 1:
-            block: list[int] = []
+        # need >= 2; ``avail`` holds at least ``need`` edges.
+        if need == 2:
+            # The last level builds each block in place, with no generator per block.
             while avail:
                 low = avail & -avail
                 avail ^= low
-                block.append(mask | low)
-            yield block
+                rest = avail & later[low.bit_length() - 1]
+                if rest:
+                    base = mask | low
+                    block: list[int] = []
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        block.append(base | bit)
+                    yield block
             return
-        while avail.bit_count() >= need:
+        while room(avail, need):
             low = avail & -avail
             avail ^= low
             rest = avail & later[low.bit_length() - 1]
             if rest.bit_count() >= need - 1:
                 yield from grow(mask | low, rest, need - 1)
 
-    if m >= r:
+    if r == 1:
+        if m:
+            yield [1 << i for i in range(m)]
+    elif m >= r:
         yield from grow(0, full, r)
 
 

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from math import comb
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .coloring import ChiCertificate, chromatic_number, lovasz_chi
 from .errors import Deadline, KneserSizeError, ParameterError, VerificationError, ensure_deadline
@@ -194,9 +194,21 @@ def check_color_classes(
     per tested group pair and once per member of that pair's first group.
     """
 
+    _check_key_groups(set(zip(coloring, map(key_bits.__and__, masks))), masks, coloring, key_bits, deadline)
+
+
+def _check_key_groups(
+    color_keys: set[tuple[int, int]],
+    masks: Sequence[int],
+    coloring: Sequence[int],
+    key_bits: int,
+    deadline: Deadline,
+) -> None:
+    """:func:`check_color_classes` given ``color_keys``, the set of (color, key) pairs it reads."""
+
     stage = "pulled-back coloring check"
     keys_of: dict[int, list[int]] = {}
-    for color, key in sorted(set(zip(coloring, map(key_bits.__and__, masks)))):
+    for color, key in sorted(color_keys):
         keys_of.setdefault(color, []).append(key)
     groups: dict[tuple[int, int], list[int]] = {}
     for color, keys in keys_of.items():
@@ -217,6 +229,18 @@ def check_color_classes(
                             f"pulled-back coloring is improper: color class {color} "
                             f"holds edge-disjoint matchings"
                         )
+
+
+class _KeyIndex(dict):
+    """A dict that fills a missing key with ``compute(key)`` on first lookup."""
+
+    def __init__(self, compute: Callable[[int], int]) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.compute(key)
+        return value
 
 
 def certify_family(
@@ -261,7 +285,7 @@ def certify_family(
             f"r-matchings, more than the cap of {cap}"
         )
     G = gap_graph(p)
-    masks = tuple(capped_matchings(G, p.r, cap))
+    masks = tuple(capped_matchings(G, p.r, cap, deadline))
     if len(masks) != p.n_matchings:
         raise VerificationError(
             f"enumerated {len(masks)} r-matchings, closed form gives {p.n_matchings}"
@@ -284,18 +308,20 @@ def certify_family(
     decode = partial(decode_matching, G.edges)
     # forward_map reads only the pair edges x_i y_i, so a matching's image
     # depends only on its key ``mask & pair_bits``: it is computed once per
-    # key, on the key's decoded pair edges, and keys are met in matching
-    # order, so it raises at the first matching it cannot map.
+    # key, on the key's decoded pair edges, when the key is first looked up.
+    # Keys are looked up in matching order, so it raises at the first
+    # matching it cannot map.
     pair_edges = {p.x_edge(i) for i in range(1, p.l + 1)}
     pair_bits = sum(1 << i for i, e in enumerate(G.edges) if e in pair_edges)
-    index_of: dict[int, int] = {}
-    for key in map(pair_bits.__and__, masks):
-        if key not in index_of:
-            index_of[key] = subset_index[forward_map(decode(key), p)]
+    index_of = _KeyIndex(lambda key: subset_index[forward_map(decode(key), p)])
     forward_idx = tuple(map(index_of.__getitem__, map(pair_bits.__and__, masks)))
-    pulled_coloring = tuple(map(small_cert.coloring.__getitem__, forward_idx))
+    colors = small_cert.coloring
+    pulled_coloring = tuple(map(colors.__getitem__, forward_idx))
 
-    check_color_classes(masks, pulled_coloring, pair_bits, deadline)
+    # A matching's pulled color is a function of its key, so the distinct
+    # keys alone give the (color, key) set the class check reads.
+    color_keys = {(colors[i], key) for key, i in index_of.items()}
+    _check_key_groups(color_keys, masks, pulled_coloring, pair_bits, deadline)
 
     # Backward homomorphism: every image is an r-matching of the host (found
     # by bisection on the decoded masks, which come in canonical order,

@@ -47,7 +47,9 @@ class MatchingKneserGraph:
         return tuple(map(partial(decode_matching, self.host.edges), self.masks))
 
 
-def capped_matchings(G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_CAP) -> list[int]:
+def capped_matchings(
+    G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_CAP, deadline: Deadline | None = None
+) -> list[int]:
     """The r-matchings of G in canonical order, as edge-index bitmasks.
 
     Bit i of a mask stands for ``G.edges[i]``, so two matchings are
@@ -57,13 +59,16 @@ def capped_matchings(G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_CAP) -
     gap_tree(7, 1)'s 495, plus 8 for its list slot. Raises
     :class:`KneserSizeError` as soon as a block of
     :func:`~matchkneser.graphs.matching_blocks` (at most m matchings) takes
-    the count past ``cap``.
+    the count past ``cap``, and :class:`SearchTimeout` when ``deadline``,
+    checked once per block, has expired.
     Callers rely on the order: it is the Kneser vertex order, and
     ``certify_family`` finds matchings by bisection on their decoded form.
     """
 
+    deadline = ensure_deadline(deadline, None)
     masks: list[int] = []
     for block in matching_blocks(G, r):
+        deadline.check("r-matching enumeration")
         masks += block
         if len(masks) > cap:
             raise KneserSizeError(
@@ -88,14 +93,15 @@ def build_matching_kneser(
     the graph's ``adj_masks``, so the edge list is decoded only if something
     reads it. Their bytes are counted as they are made, and the construction
     refuses with :class:`KneserSizeError` as soon as the total passes
-    :data:`KNESER_ROW_BYTES`. The row loop checks ``deadline`` once per row
-    and raises :class:`SearchTimeout` when it has expired.
+    :data:`KNESER_ROW_BYTES`. The enumeration checks ``deadline`` once per
+    block and the row loop once per row; either raises
+    :class:`SearchTimeout` when it has expired.
     """
 
     if r < 1:
         raise ParameterError("matching size r must be at least 1")
     deadline = ensure_deadline(deadline, None)
-    masks = capped_matchings(G, r, cap)
+    masks = capped_matchings(G, r, cap, deadline)
     n = len(masks)
     tops = [mask.bit_length() - 1 for mask in masks]
     # runs: (first matching, host edges shared by the run), ended by a sentinel.
@@ -178,5 +184,5 @@ def write_kneser_files(mkg: MatchingKneserGraph, base: str | Path) -> tuple[Path
     graph_path = base.with_name(base.name + ".edges")
     sidecar_path = base.with_name(base.name + ".matchings")
     write_edgelist(mkg.graph, graph_path)
-    sidecar_path.write_text("\n".join(matchings_sidecar_lines(mkg)) + "\n")
+    sidecar_path.write_text("".join(line + "\n" for line in matchings_sidecar_lines(mkg)))
     return graph_path, sidecar_path

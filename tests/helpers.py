@@ -11,6 +11,7 @@ kept to pin the new search to the same branching order.
 from __future__ import annotations
 
 import sys
+from functools import cache
 from itertools import combinations
 from math import comb, perm
 
@@ -68,6 +69,57 @@ def gap_matching_count(params: FamilyParams) -> int:
         for h in range(p.t + 1)
         for a in range(h + 1)
     )
+
+
+def count_matchings(G: LabeledGraph, r: int) -> int:
+    """The number of r-matchings of G, by recursion on vertices, not edges.
+
+    The lowest vertex still present is either left unmatched or matched to
+    one of its present neighbors, and the count is memoised on the set of
+    vertices present and the edges still needed.
+    """
+
+    nbrs = [0] * G.n
+    for u, v in G.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+
+    @cache
+    def count(present: int, need: int) -> int:
+        if need == 0:
+            return 1
+        if present.bit_count() < 2 * need:
+            return 0
+        low = present & -present
+        rest = present ^ low
+        total = count(rest, need)
+        partners = nbrs[low.bit_length() - 1] & rest
+        while partners:
+            bit = partners & -partners
+            partners ^= bit
+            total += count(rest ^ bit, need - 1)
+        return total
+
+    return count((1 << G.n) - 1, r)
+
+
+def flower_snark(n: int) -> LabeledGraph:
+    """The flower snark J(n), n odd, with 4n vertices: a_i, b_i, c_i, d_i are 4i .. 4i + 3.
+
+    Each a_i is joined to b_i, c_i and d_i; the b_i form an n-cycle, and the
+    c_i and d_i one 2n-cycle c_0 .. c_(n-1) d_0 .. d_(n-1). Cubic, bridgeless
+    and not 3-edge-colorable for odd n >= 5, so it has no two edge-disjoint
+    perfect matchings.
+    """
+
+    pairs = []
+    for i in range(n):
+        a, b, c, d = range(4 * i, 4 * i + 4)
+        _, next_b, next_c, next_d = range(4 * ((i + 1) % n), 4 * ((i + 1) % n) + 4)
+        pairs += [(a, b), (a, c), (a, d), (b, next_b)]
+        # The last c and d cross over, so the c- and d-paths close into one cycle.
+        pairs += [(c, next_c), (d, next_d)] if i < n - 1 else [(c, next_d), (d, next_c)]
+    return make_graph(4 * n, pairs)
 
 
 def brute_force_matching_number(G: LabeledGraph) -> int:

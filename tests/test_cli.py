@@ -162,6 +162,13 @@ def test_kneser_files(petersen_file, tmp_path, capsys):
     assert len(sidecar.splitlines()) == 6
 
 
+def test_kneser_with_no_r_matching_writes_an_empty_sidecar(petersen_file, tmp_path, capsys):
+    base = tmp_path / "none"
+    assert main(["kneser", "--in", str(petersen_file), "--r", "20", "--out", str(base)]) == EXIT_OK
+    assert (tmp_path / "none.edges").read_text() == "0 0\n"
+    assert (tmp_path / "none.matchings").read_text() == ""
+
+
 def test_kneser_row_budget_is_a_usage_error(tmp_path, monkeypatch, capsys):
     host = tmp_path / "7k2.edges"
     assert main(["gen", "--family", "matching", "--l", "7", "--out", str(host)]) == EXIT_OK
@@ -219,10 +226,10 @@ def test_timeout_from_environment(petersen_file, monkeypatch, capsys):
 def test_kneser_timeout(petersen_file, tmp_path, monkeypatch, capsys):
     base = str(tmp_path / "pmkg")
     assert main(["kneser", "--in", str(petersen_file), "--r", "5", "--out", base, "--timeout", "-1"]) == EXIT_UNKNOWN
-    assert "timeout: matching Kneser construction" in capsys.readouterr().err
+    assert "timeout: r-matching enumeration" in capsys.readouterr().err
     monkeypatch.setenv("MATCHKNESER_TIMEOUT", "-1")
     assert main(["kneser", "--in", str(petersen_file), "--r", "5", "--out", base]) == EXIT_UNKNOWN
-    assert "timeout: matching Kneser construction" in capsys.readouterr().err
+    assert "timeout: r-matching enumeration" in capsys.readouterr().err
     assert not (tmp_path / "pmkg.edges").exists()
     monkeypatch.setenv("MATCHKNESER_TIMEOUT", "abc")
     assert main(["kneser", "--in", str(petersen_file), "--r", "5", "--out", base]) == EXIT_USAGE

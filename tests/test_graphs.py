@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 
 from matchkneser import (
+    Deadline,
     GraphConstructionError,
     KneserSizeError,
     LabeledGraph,
     ParameterError,
+    SearchTimeout,
     bipartition,
     enumerate_matchings,
     first_matching,
@@ -34,7 +36,15 @@ from matchkneser.graphs import decode_matching, edgelist_lines, parse_edgelist
 from matchkneser.families import gap_graph, gap_tree, FamilyParams, matching_graph
 from matchkneser.kneser import capped_matchings
 
-from helpers import SURVEY_GRID, brute_force_matchings, brute_force_matching_number, graphs, to_networkx
+from helpers import (
+    SURVEY_GRID,
+    brute_force_matchings,
+    brute_force_matching_number,
+    count_matchings,
+    flower_snark,
+    graphs,
+    to_networkx,
+)
 
 import networkx as nx
 
@@ -253,13 +263,65 @@ def test_enumeration_completeness(G):
         check_enumerator(G, r)
 
 
+# Hosts whose matching number nu is met exactly by one of the enumerator's
+# counts and missed at nu + 1. At nu + 1 >= 3 the cut comes from lower
+# endpoints alone on the three stars centred at the lowest vertices, upper
+# endpoints alone on those centred at the highest, distinct vertices alone
+# on P4, K4 and K6, and the edge count on 3K2. At nu = 1 the last level,
+# which builds blocks without counting, ends the search at r = 2.
+_COUNT_HOSTS = {
+    "star": make_graph(5, [(0, v) for v in range(1, 5)]),
+    "star-centred-last": make_graph(5, [(u, 4) for u in range(4)]),
+    "P3": make_graph(3, [(0, 1), (1, 2)]),
+    "P4": P4,
+    "triangle": K3,
+    "K4": make_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+    "3K2": matching_graph(3),
+    "three-stars": make_graph(9, [(c, 3 + 2 * c + k) for c in range(3) for k in range(2)]),
+    "three-stars-centred-last": make_graph(9, [(2 * c + k, 6 + c) for c in range(3) for k in range(2)]),
+    "K6": make_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]),
+}
+_AT_AND_PAST_NU = [
+    (G, r, f"{name}-r{r}")
+    for name, G in _COUNT_HOSTS.items()
+    for r in (matching_number(G), matching_number(G) + 1)
+]
+
+
 @pytest.mark.parametrize(
     "host, r",
-    [(petersen(), 5), (gap_tree(5, 1), 5)] + [(gap_graph(FamilyParams(*grid)), grid[0]) for grid in SURVEY_GRID],
-    ids=["petersen-r5", "gap_tree(5,1)"] + [f"gap{grid}" for grid in SURVEY_GRID],
+    [(petersen(), 5), (gap_tree(5, 1), 5)]
+    + [(gap_graph(FamilyParams(*grid)), grid[0]) for grid in SURVEY_GRID]
+    + [(G, r) for G, r, _ in _AT_AND_PAST_NU],
+    ids=["petersen-r5", "gap_tree(5,1)"] + [f"gap{grid}" for grid in SURVEY_GRID] + [i for _, _, i in _AT_AND_PAST_NU],
 )
 def test_enumerator_on_named_hosts(host, r):
     check_enumerator(host, r)
+
+
+@pytest.mark.parametrize("n, count", [(5, 32), (7, 128), (9, 512)])
+def test_flower_snark_perfect_matchings(n, count):
+    G = flower_snark(n)
+    masks = capped_matchings(G, 2 * n, deadline=Deadline(5))
+    assert len(masks) == count == count_matchings(G, 2 * n)
+    for mask in masks:
+        assert make_matching(G, decode_matching(G.edges, mask)) == decode_matching(G.edges, mask)
+    assert len(set(masks)) == count and not capped_matchings(G, 2 * n + 1)
+
+
+def test_flower_snark_one_below_perfect_matches_the_vertex_recursion():
+    G = flower_snark(7)
+    masks = capped_matchings(G, 13)
+    assert len(masks) == count_matchings(G, 13) == 11_305
+    decoded = [decode_matching(G.edges, mask) for mask in masks]
+    assert decoded == sorted(set(decoded))
+
+
+def test_enumeration_raises_once_its_deadline_has_passed():
+    with pytest.raises(SearchTimeout, match="r-matching enumeration"):
+        capped_matchings(flower_snark(9), 18, deadline=Deadline(-1))
+    with pytest.raises(SearchTimeout, match="r-matching enumeration"):
+        capped_matchings(petersen(), 5, deadline=Deadline(-1))
 
 
 @settings(max_examples=60, deadline=None)

@@ -308,8 +308,8 @@ def test_certify_refuses_before_it_enumerates(monkeypatch):
 def test_certify_checks_the_enumeration_against_the_closed_form(monkeypatch):
     real = homcert.capped_matchings
 
-    def one_short(G, r, cap):
-        return real(G, r, cap)[:-1]
+    def one_short(G, r, cap, deadline):
+        return real(G, r, cap, deadline)[:-1]
 
     monkeypatch.setattr(homcert, "capped_matchings", one_short)
     with pytest.raises(VerificationError, match="closed form"):

@@ -23,7 +23,7 @@ from matchkneser import (
 )
 from matchkneser import kneser
 from matchkneser.coloring import DEFAULT_TIME_BUDGET, chromatic_number
-from matchkneser.graphs import edgelist_lines
+from matchkneser.graphs import edgelist_lines, matching_blocks
 from matchkneser.kneser import matchings_sidecar_lines, write_kneser_files
 from matchkneser.verify import THEOREM2_GRID
 
@@ -147,13 +147,23 @@ def test_sidecar_format():
     assert len(lines) == mkg.graph.n
 
 
+def _deadline_stages(G, r, rows):
+    """The checks of one construction: one per enumerated block, then one per row."""
+
+    blocks = sum(1 for _ in matching_blocks(G, r))
+    return ["r-matching enumeration"] * blocks + ["matching Kneser construction"] * rows
+
+
 def test_kneser_pair_loop_checks_the_deadline_once_per_row():
     G = gap_graph(FamilyParams(3, 2, 1))
     recorder = CountingDeadline()
     mkg = build_matching_kneser(G, 3, deadline=recorder)
-    assert recorder.stages == ["matching Kneser construction"] * mkg.graph.n
+    assert recorder.stages == _deadline_stages(G, 3, mkg.graph.n)
+    enumeration_checks = recorder.stages.count("r-matching enumeration")
     with pytest.raises(SearchTimeout, match="matching Kneser construction"):
-        build_matching_kneser(G, 3, deadline=CountingDeadline(limit=5))
+        build_matching_kneser(G, 3, deadline=CountingDeadline(limit=enumeration_checks + 5))
+    with pytest.raises(SearchTimeout, match="r-matching enumeration"):
+        build_matching_kneser(G, 3, deadline=CountingDeadline(limit=enumeration_checks - 1))
 
 
 @pytest.mark.parametrize(
@@ -183,7 +193,7 @@ def test_empty_rows_still_check_the_deadline():
     recorder = CountingDeadline()
     mkg = build_matching_kneser(gap_tree(5, 1), 5, deadline=recorder)
     assert mkg.graph.m == 0
-    assert recorder.stages == ["matching Kneser construction"] * mkg.graph.n
+    assert recorder.stages == _deadline_stages(gap_tree(5, 1), 5, mkg.graph.n)
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from matchkneser import (
+    Deadline,
+    FamilyParams,
     ParameterError,
     SearchTimeout,
+    certify_family,
+    chromatic_number,
     gap_tree,
     generalized_turan,
     make_graph,
@@ -99,6 +103,23 @@ def test_timeout_yields_unclaimed_bound():
     assert matching_number(remove_edges(petersen(), cert.deleted)) <= 4
     with pytest.raises(SearchTimeout):
         generalized_turan(petersen(), 5, time_budget=-1.0)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda budget: min_deletion_set(gap_tree(7, 1), 7, time_budget=budget),
+        lambda budget: certify_family(FamilyParams(3, 1, 1), time_budget=budget),
+        lambda budget: chromatic_number(petersen(), time_budget=budget),
+    ],
+    ids=["min_deletion_set", "certify_family", "chromatic_number"],
+)
+def test_nan_time_budget_is_refused(solve):
+    # No elapsed time compares greater than NaN, so such a deadline would never expire.
+    with pytest.raises(ParameterError, match="NaN"):
+        solve(float("nan"))
+    with pytest.raises(ParameterError, match="NaN"):
+        Deadline(float("nan"))
 
 
 def test_timeout_message_brackets_the_optimum():
