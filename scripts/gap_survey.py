@@ -3,13 +3,23 @@
 
 For every (r, theta, gamma) in the grid this certifies chi = theta via the
 two homomorphisms, solves the minimum deletion set exactly, and tabulates
-the gap between the removal bound and the chromatic number.
+the gap between the removal bound and the chromatic number. A timeout or a
+cap overrun leaves a value unknown: its row reads UNKNOWN, and the script
+ends with "unknown at: ..." and exit code 3.
 """
 
 import argparse
+import sys
 
-from matchkneser import FamilyParams, certify_family, gap_graph, min_deletion_set
-from matchkneser.cli import parse_seconds
+from matchkneser import (
+    FamilyParams,
+    KneserSizeError,
+    SearchTimeout,
+    certify_family,
+    gap_graph,
+    min_deletion_set,
+)
+from matchkneser.cli import EXIT_UNKNOWN, parse_seconds
 from matchkneser.report import assemble_report, reports_table
 
 
@@ -25,7 +35,10 @@ def main() -> None:
         for theta in range(1, args.max_theta + 1):
             for gamma in range(1, r - 1):
                 params = FamilyParams(r=r, theta=theta, gamma=gamma)
-                certification = certify_family(params, time_budget=args.timeout)
+                try:
+                    chi_cert = certify_family(params, time_budget=args.timeout).chi_certificate
+                except (KneserSizeError, SearchTimeout):
+                    chi_cert = None  # chi UNKNOWN, as in sequence_report
                 G = gap_graph(params)
                 deletion = min_deletion_set(G, r, time_budget=args.timeout)
                 reports.append(
@@ -34,15 +47,19 @@ def main() -> None:
                         r=r,
                         G=G,
                         deletion=deletion,
-                        chi_cert=certification.chi_certificate,
+                        chi_cert=chi_cert,
                         predicted_chi=theta,
                         predicted_removal=theta + gamma,
                     )
                 )
     print(reports_table(reports))
-    bad = [rep.instance for rep in reports if rep.prediction_match is not True]
+    bad = [rep.instance for rep in reports if rep.prediction_match is False]
     if bad:
         raise SystemExit(f"prediction mismatch at: {bad}")
+    unknown = [rep.instance for rep in reports if rep.prediction_match is None]
+    if unknown:
+        print(f"unknown at: {unknown}", file=sys.stderr)
+        raise SystemExit(EXIT_UNKNOWN)
     print(f"\nall {len(reports)} instances match the closed forms")
 
 

@@ -12,13 +12,14 @@ the lowest bit of the highest non-empty level, and coloring a vertex moves
 its neighbors that had not seen the color up one level, so a search node
 costs O(k) mask operations instead of a scan of all n vertices. Color
 symmetry is broken by only ever trying the colors used so far plus one
-fresh color. A timeout raises :class:`SearchTimeout` so that an "unknown"
-can never masquerade as a proven "no".
+fresh color. The search is one loop over an explicit trail, one entry per
+colored vertex: it never recurses and changes no process-wide state. A
+timeout raises :class:`SearchTimeout` so that an "unknown" can never
+masquerade as a proven "no".
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -129,57 +130,59 @@ def _search_k_coloring(n: int, adj: tuple[int, ...], k: int, deadline: Deadline)
     level = [0] * (k + 1)
     level[0] = (1 << n) - 1
     seen = [0] * k
-    counter = [0]
-
-    def descend(colored: int, used: int) -> bool:
-        counter[0] += 1
-        if counter[0] % _DEADLINE_STRIDE == 0:
+    # One entry per colored vertex: its bit, its level, the colors in use
+    # before it and the neighbors its color moved up a level.
+    trail: list[tuple[int, int, int, int]] = []
+    nodes = used = 0
+    while True:
+        nodes += 1
+        if nodes % _DEADLINE_STRIDE == 0:
             deadline.check("k-coloring search")
-        if colored == n:
-            return True
+        if len(trail) == n:
+            return color
         # No vertex sees more colors than are in use.
-        s = min(used, k)
+        s = used if used < k else k
         while not level[s]:
             s -= 1
-        if s == k:
-            return False
-        pick = level[s] & -level[s]
-        v = pick.bit_length() - 1
-        level[s] ^= pick
-        top = min(used, k - 1)
-        for c in range(min(k, used + 1)):
-            if seen[c] & pick:
-                continue
-            color[v] = c
-            new = adj[v] & ~seen[c]
-            seen[c] |= new
-            # Neighbors that had not seen c go up one level, top level first.
-            for t in range(top, -1, -1):
-                moved = level[t] & new
-                if moved:
-                    level[t] ^= moved
-                    level[t + 1] |= moved
-            if descend(colored + 1, max(used, c + 1)):
-                return True
-            for t in range(top + 1):
+        if s < k:
+            pick = level[s] & -level[s]
+            level[s] ^= pick
+            c = 0
+        else:
+            pick, c = 0, k  # a dead end: nothing to try, go straight to undo
+        while True:
+            # The lowest color from c on that the vertex has not seen, among
+            # the colors in use and one fresh color.
+            end = used + 1 if used < k else k
+            while c < end and seen[c] & pick:
+                c += 1
+            if c < end:
+                break
+            level[s] |= pick
+            if not trail:
+                return None
+            pick, s, used, new = trail.pop()
+            c = color[pick.bit_length() - 1]
+            for t in range(used + 1 if used < k else k):
                 moved = level[t + 1] & new
                 if moved:
                     level[t + 1] ^= moved
                     level[t] |= moved
             seen[c] ^= new
-        color[v] = -1
-        level[s] |= pick
-        return False
-
-    # The recursion goes one level per vertex; the raised limit is put back
-    # on the way out, so the search leaves no interpreter-wide trace.
-    limit = sys.getrecursionlimit()
-    if limit < 4 * n + 1000:
-        sys.setrecursionlimit(4 * n + 1000)
-    try:
-        return color if descend(0, 0) else None
-    finally:
-        sys.setrecursionlimit(limit)
+            c += 1
+        v = pick.bit_length() - 1
+        color[v] = c
+        new = adj[v] & ~seen[c]
+        seen[c] |= new
+        # Neighbors that had not seen c go up one level, top level first.
+        for t in range(used if used < k else k - 1, -1, -1):
+            moved = level[t] & new
+            if moved:
+                level[t] ^= moved
+                level[t + 1] |= moved
+        trail.append((pick, s, used, new))
+        if c == used:
+            used += 1
 
 
 def is_k_colorable(
@@ -198,11 +201,7 @@ def is_k_colorable(
         raise ParameterError("color count k must be non-negative")
     deadline = ensure_deadline(deadline, time_budget)
     deadline.check("k-coloring search")
-    if H.n == 0:
-        return ()
-    if k == 0:
-        return None
-    if H.m == 0:
+    if H.m == 0 and k:
         return (0,) * H.n
     result = _search_k_coloring(H.n, H.adj_masks, k, deadline)
     return tuple(result) if result is not None else None

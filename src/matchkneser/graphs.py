@@ -26,12 +26,14 @@ from operator import add, or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GraphConstructionError, ParameterError
+from .errors import Deadline, GraphConstructionError, ParameterError, ensure_deadline
 
 Edge = tuple[int, int]
 Matching = tuple[Edge, ...]
 
 ROLE_KINDS = ("x", "y", "z", "w")
+
+_DEADLINE_STRIDE = 1024  # enumeration branches between deadline checks
 
 
 class LabeledGraph:
@@ -308,7 +310,7 @@ def make_matching(G: LabeledGraph, edges: Iterable[tuple[int, int]]) -> Matching
     return tuple(canon)
 
 
-def matching_blocks(G: LabeledGraph, r: int) -> Iterator[list[int]]:
+def matching_blocks(G: LabeledGraph, r: int, deadline: Deadline | None = None) -> Iterator[list[int]]:
     """Every r-matching of G as an edge-index bitmask, in lexicographic order.
 
     Bit i of a mask stands for ``G.edges[i]``. A depth-first search keeps
@@ -333,10 +335,15 @@ def matching_blocks(G: LabeledGraph, r: int) -> Iterator[list[int]]:
     next test once a vertex it must still cover has lost its last
     available edge. The cuts drop only branches that yield nothing, so the
     order and the blocks are those of the uncut search.
+
+    ``deadline`` is checked once every ``_DEADLINE_STRIDE`` branches entered,
+    so a search that walks many partial matchings and yields no block still
+    stops in time; :class:`SearchTimeout` is raised when it has expired.
     """
 
     if r < 1:
         raise ParameterError("matching size r must be at least 1")
+    deadline = ensure_deadline(deadline, None)
     edges = G.edges
     m = len(edges)
     lower = [0] * G.n
@@ -364,8 +371,14 @@ def matching_blocks(G: LabeledGraph, r: int) -> Iterator[list[int]]:
             and next(islice(filter(avail.__and__, upper_desc), k - 1, None), 0)
         )
 
+    branches = 0
+
     def grow(mask: int, avail: int, need: int) -> Iterator[list[int]]:
         # need >= 2; ``avail`` holds at least ``need`` edges.
+        nonlocal branches
+        branches += 1
+        if branches % _DEADLINE_STRIDE == 0:
+            deadline.check("r-matching enumeration")
         if need == 2:
             # The last level builds each block in place, with no generator per block.
             while avail:

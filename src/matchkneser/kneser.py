@@ -60,14 +60,14 @@ def capped_matchings(
     :class:`KneserSizeError` as soon as a block of
     :func:`~matchkneser.graphs.matching_blocks` (at most m matchings) takes
     the count past ``cap``, and :class:`SearchTimeout` when ``deadline``,
-    checked once per block, has expired.
+    checked once per block and inside the search, has expired.
     Callers rely on the order: it is the Kneser vertex order, and
     ``certify_family`` finds matchings by bisection on their decoded form.
     """
 
     deadline = ensure_deadline(deadline, None)
     masks: list[int] = []
-    for block in matching_blocks(G, r):
+    for block in matching_blocks(G, r, deadline):
         deadline.check("r-matching enumeration")
         masks += block
         if len(masks) > cap:

@@ -31,7 +31,9 @@ class GapReport:
 
     ``chi``/``gap`` are None when a solver timed out or the Kneser graph was
     too large to build; the verdict is then UNKNOWN. Family instances carry
-    the construction's predicted values side by side with a match flag.
+    the construction's predicted values side by side with a match flag:
+    False when a computed value contradicts its prediction, None when none
+    does but a predicted value is unknown, True when every one is met.
     """
 
     instance: str
@@ -99,9 +101,13 @@ def assemble_report(
     chi = chi_cert.k if chi_cert is not None else None
     verdict = _verdict(chi, removal)
     gap = removal - chi if (chi is not None and removal is not None) else None
+    pairs = ((chi, predicted_chi), (removal, predicted_removal))
+    predicted = [(value, p) for value, p in pairs if p is not None]
     match: bool | None = None
-    if predicted_chi is not None or predicted_removal is not None:
-        match = chi == predicted_chi and removal == predicted_removal
+    if any(value is not None and value != p for value, p in predicted):
+        match = False
+    elif predicted and all(value is not None for value, _ in predicted):
+        match = True
     return GapReport(
         instance=instance,
         r=r,

@@ -42,6 +42,7 @@ def test_k_colorable_edge_cases():
     assert is_k_colorable(make_graph(0, []), 0) == ()
     assert is_k_colorable(make_graph(2, [(0, 1)]), 0) is None
     assert is_k_colorable(make_graph(3, []), 1) == (0, 0, 0)
+    assert is_k_colorable(make_graph(3, []), 0) is None
     with pytest.raises(ParameterError):
         is_k_colorable(K3, -1)
 
@@ -174,6 +175,24 @@ def test_search_leaves_the_recursion_limit_alone():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
+
+
+def test_deep_searches_never_touch_the_recursion_limit(monkeypatch):
+    # The search goes one trail entry per vertex, never one Python frame.
+    # The calls are recorded, not refused, since pytest itself reads the
+    # limit when it reports a failure.
+    path = make_graph(5000, [(i, i + 1) for i in range(4999)])
+    H = _search_graph("gap(4,2,1)")
+    assert H.n == 1973
+    calls = []
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+    coloring = is_k_colorable(path, 2)
+    cert = chromatic_number(H)
+    assert calls == []
+    assert coloring == (0, 1) * 2500
+    check_coloring(path, coloring, 2)
+    assert cert.k == 2
+    check_coloring(H, cert.coloring, cert.k)
 
 
 def _search_graph(name):

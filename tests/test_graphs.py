@@ -1,6 +1,7 @@
 """Graph core: construction, predicates, matching enumeration, matching number."""
 
 import random
+import time
 from dataclasses import FrozenInstanceError
 from functools import reduce
 from operator import or_
@@ -32,12 +33,13 @@ from matchkneser import (
     remove_edges,
     write_edgelist,
 )
-from matchkneser.graphs import decode_matching, edgelist_lines, parse_edgelist
+from matchkneser.graphs import decode_matching, edgelist_lines, matching_blocks, parse_edgelist
 from matchkneser.families import gap_graph, gap_tree, FamilyParams, matching_graph
 from matchkneser.kneser import capped_matchings
 
 from helpers import (
     SURVEY_GRID,
+    CountingDeadline,
     brute_force_matchings,
     brute_force_matching_number,
     count_matchings,
@@ -322,6 +324,19 @@ def test_enumeration_raises_once_its_deadline_has_passed():
         capped_matchings(flower_snark(9), 18, deadline=Deadline(-1))
     with pytest.raises(SearchTimeout, match="r-matching enumeration"):
         capped_matchings(petersen(), 5, deadline=Deadline(-1))
+
+
+def test_a_dead_enumeration_still_honours_its_deadline():
+    # 11 disjoint triangles have no 12-matching, but every count the cuts
+    # read passes until deep in the search, so no block is ever yielded and
+    # only the checks inside the search can stop it (uncut: about 0.5 s).
+    G = make_graph(33, [e for i in range(0, 33, 3) for e in ((i, i + 1), (i, i + 2), (i + 1, i + 2))])
+    with pytest.raises(SearchTimeout, match="r-matching enumeration"):
+        next(matching_blocks(G, 12, CountingDeadline(limit=0)))
+    started = time.perf_counter()
+    with pytest.raises(SearchTimeout, match="r-matching enumeration"):
+        capped_matchings(G, 12, deadline=Deadline(0.05))
+    assert time.perf_counter() - started < 0.25
 
 
 @settings(max_examples=60, deadline=None)

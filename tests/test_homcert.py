@@ -288,8 +288,8 @@ def test_certify_refuses_before_it_enumerates(monkeypatch):
     seen = Counter()  # host vertex count -> matchings enumerated on that host
     real = kneser.matching_blocks
 
-    def counting(G, r):
-        for block in real(G, r):
+    def counting(G, r, deadline=None):
+        for block in real(G, r, deadline):
             seen[G.n] += len(block)
             yield block
 

@@ -9,6 +9,7 @@ from matchkneser import (
     KneserSizeError,
     VerificationError,
     gap_report,
+    gap_tree,
     make_graph,
     matching_graph,
     min_deletion_set,
@@ -75,7 +76,18 @@ def test_sequence_report_degrades_a_cap_overrun_to_unknown(monkeypatch):
     first, second = sequence_report(1, [3, 4])
     assert first.chi == 1 and first.prediction_match is True
     assert second.chi is None and second.verdict == UNKNOWN
-    assert second.removal_bound == 3 and second.prediction_match is False
+    assert second.removal_bound == 3 and second.prediction_match is None
+
+
+def test_a_known_value_that_misses_its_prediction_is_a_mismatch_while_chi_is_unknown():
+    tree = gap_tree(4, 1)
+    deletion = min_deletion_set(tree, 4)
+    assert deletion.optimal and deletion.size == 3
+    rep = assemble_report("tree", 4, tree, deletion, None, predicted_chi=1, predicted_removal=4)
+    assert rep.chi is None and rep.verdict == UNKNOWN
+    assert rep.prediction_match is False
+    rep = assemble_report("tree", 4, tree, deletion, None, predicted_chi=1, predicted_removal=3)
+    assert rep.prediction_match is None
 
 
 def test_sequence_report_theta_two():

@@ -33,6 +33,16 @@ def test_gap_survey_runs_with_its_defaults():
     assert "all 18 instances match the closed forms" in done.stdout
 
 
+def test_gap_survey_reports_a_timeout_as_unknown():
+    done = run_script("gap_survey.py", "--timeout", "0")
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr and "prediction mismatch" not in done.stderr
+    rows = done.stdout.splitlines()[1:]
+    assert len(rows) == 18 and all(" UNKNOWN " in row and row.endswith(" -") for row in rows)
+    instances = [row.split()[0] for row in rows]
+    assert done.stderr.splitlines() == [f"unknown at: {instances}"]
+
+
 def test_growth_table_runs_to_r_seven():
     done = run_script("growth_table.py", "--r", "3", "4", "5", "6", "7", "--format", "json")
     assert done.returncode == 0, done.stderr
