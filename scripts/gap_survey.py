@@ -9,7 +9,6 @@ ends with "unknown at: ..." and exit code 3.
 """
 
 import argparse
-import sys
 
 from matchkneser import (
     FamilyParams,
@@ -19,14 +18,14 @@ from matchkneser import (
     gap_graph,
     min_deletion_set,
 )
-from matchkneser.cli import EXIT_UNKNOWN, parse_seconds
+from matchkneser.cli import exit_on_predictions, int_at_least, parse_seconds
 from matchkneser.report import assemble_report, reports_table
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-r", type=int, default=5)
-    ap.add_argument("--max-theta", type=int, default=3)
+    ap.add_argument("--max-r", type=int_at_least(3), default=5)
+    ap.add_argument("--max-theta", type=int_at_least(1), default=3)
     ap.add_argument("--timeout", type=parse_seconds, default=120.0)
     args = ap.parse_args()
 
@@ -53,13 +52,7 @@ def main() -> None:
                     )
                 )
     print(reports_table(reports))
-    bad = [rep.instance for rep in reports if rep.prediction_match is False]
-    if bad:
-        raise SystemExit(f"prediction mismatch at: {bad}")
-    unknown = [rep.instance for rep in reports if rep.prediction_match is None]
-    if unknown:
-        print(f"unknown at: {unknown}", file=sys.stderr)
-        raise SystemExit(EXIT_UNKNOWN)
+    exit_on_predictions(reports)
     print(f"\nall {len(reports)} instances match the closed forms")
 
 

@@ -10,11 +10,11 @@ included, is a usage error, as it is for ``--timeout``).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .coloring import DEFAULT_TIME_BUDGET, chromatic_number
 from .errors import (
@@ -29,7 +29,7 @@ from .families import FamilyParams, gap_graph, gap_tree, matching_graph, peterse
 from .graphs import read_edgelist, write_edgelist, edgelist_lines
 from .homcert import CERTIFY_MATCHING_CAP, certify_family, hom_witness_lines
 from .kneser import DEFAULT_MATCHING_CAP, build_matching_kneser, write_kneser_files
-from .report import assemble_report, gap_report, reports_json, reports_table
+from .report import GapReport, assemble_report, gap_report, json_text, reports_json, reports_table
 from .turan import min_deletion_set
 from .verify import TARGETS, run_target
 
@@ -67,16 +67,40 @@ def _default_timeout() -> float:
         raise ParameterError(f"{TIMEOUT_ENV_VAR}={exc}") from None
 
 
-def _matching_cap(text: str) -> int:
-    """The ``--kneser-cap`` value: a non-negative integer."""
+def int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type`` for an integer flag with a lower bound.
 
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
-    return cap
+    A value below ``low`` is a usage error that names the bound. The
+    experiment scripts bound their r and theta flags with this too.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def exit_on_predictions(reports: list[GapReport]) -> None:
+    """End an experiment script by its rows' prediction flags.
+
+    Exits 1 with "prediction mismatch at: [...]" when a computed value
+    contradicts its prediction, and otherwise 3, with "unknown at: [...]" on
+    stderr, when some value is unknown. Returns when every prediction is met.
+    """
+
+    bad = [rep.instance for rep in reports if rep.prediction_match is False]
+    if bad:
+        raise SystemExit(f"prediction mismatch at: {bad}")
+    unknown = [rep.instance for rep in reports if rep.prediction_match is None]
+    if unknown:
+        print(f"unknown at: {unknown}", file=sys.stderr)
+        raise SystemExit(EXIT_UNKNOWN)
 
 
 # gen's families: the parameter flags each one reads, and its generator.
@@ -107,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_timeout_flag(p)
 
     def add_cap_flag(p: argparse.ArgumentParser, default: int = DEFAULT_MATCHING_CAP) -> None:
-        p.add_argument("--kneser-cap", type=_matching_cap, default=default, metavar="N")
+        p.add_argument("--kneser-cap", type=int_at_least(0), default=default, metavar="N")
 
     gen = sub.add_parser("gen", help="write a family instance in edge-list format")
     gen.add_argument("--family", required=True, choices=tuple(_GEN_FAMILIES))
@@ -196,7 +220,7 @@ def _run_kneser(args: argparse.Namespace) -> int:
 def _run_chi(args: argparse.Namespace) -> int:
     G = read_edgelist(args.infile)
     cert = chromatic_number(G, deadline=Deadline(args.timeout))
-    payload = json.dumps(cert.to_json_dict(), indent=2)
+    payload = json_text(cert.to_json_dict())
     if args.out is not None:
         args.out.write_text(payload + "\n")
     if args.fmt == "json":
@@ -209,7 +233,7 @@ def _run_chi(args: argparse.Namespace) -> int:
 def _run_turan(args: argparse.Namespace) -> int:
     G = read_edgelist(args.infile)
     cert = min_deletion_set(G, args.r, deadline=Deadline(args.timeout))
-    payload = json.dumps(cert.to_json_dict(), indent=2)
+    payload = json_text(cert.to_json_dict())
     if args.out is not None:
         args.out.write_text(payload + "\n")
     if args.fmt == "json":
@@ -272,7 +296,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     results = [run_target(name, Deadline(args.timeout)) for name in names]
     if args.fmt == "json":
         print(
-            json.dumps(
+            json_text(
                 [
                     {
                         "target": r.target,
@@ -283,8 +307,7 @@ def _run_verify(args: argparse.Namespace) -> int:
                         ],
                     }
                     for r in results
-                ],
-                indent=2,
+                ]
             )
         )
     else:

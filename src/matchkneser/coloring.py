@@ -20,10 +20,9 @@ masquerade as a proven "no".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-from .errors import Deadline, ParameterError, VerificationError, ensure_deadline
+from .errors import Deadline, ParameterError, Record, VerificationError, ensure_deadline
 from .graphs import LabeledGraph
 
 DEFAULT_TIME_BUDGET = 60.0
@@ -31,24 +30,21 @@ DEFAULT_TIME_BUDGET = 60.0
 _DEADLINE_STRIDE = 1024  # search nodes between deadline checks
 
 
-@dataclass(frozen=True)
-class EmptyWitness:
+class EmptyWitness(Record):
     kind: str = "EMPTY"
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"kind": self.kind}
 
 
-@dataclass(frozen=True)
-class EdgelessWitness:
+class EdgelessWitness(Record):
     kind: str = "EDGELESS"
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"kind": self.kind}
 
 
-@dataclass(frozen=True)
-class CliqueWitness:
+class CliqueWitness(Record):
     vertices: tuple[int, ...]
     kind: str = "CLIQUE"
 
@@ -56,8 +52,7 @@ class CliqueWitness:
         return {"kind": self.kind, "vertices": list(self.vertices)}
 
 
-@dataclass(frozen=True)
-class ExhaustionWitness:
+class ExhaustionWitness(Record):
     """Records that the (k-1)-colorability search completed with no solution."""
 
     failed_k: int
@@ -67,8 +62,7 @@ class ExhaustionWitness:
         return {"kind": self.kind, "failed_k": self.failed_k}
 
 
-@dataclass(frozen=True)
-class ChiCertificate:
+class ChiCertificate(Record):
     """An exact chromatic number together with the evidence for both bounds.
 
     ``coloring`` is a proper coloring with exactly ``k`` colors (the upper

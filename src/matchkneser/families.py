@@ -10,15 +10,13 @@ of radius 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, perm
 
-from .errors import ParameterError, VerificationError
+from .errors import ParameterError, Record, VerificationError
 from .graphs import Edge, LabeledGraph, is_tree, make_graph, radius
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
     """Parameters (r, theta, gamma) of the prescribed-gap construction.
 
     Derived quantities: ``t = (r - 1) - gamma`` counts the hub vertices,
@@ -31,7 +29,8 @@ class FamilyParams:
     theta: int
     gamma: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, r: int, theta: int, gamma: int) -> None:
+        super().__init__(r, theta, gamma)
         if self.r < 3:
             raise ParameterError(f"need r >= 3, got r={self.r}")
         if self.theta < 1:

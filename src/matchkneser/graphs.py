@@ -19,14 +19,13 @@ it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import FrozenInstanceError
 from functools import cached_property, partial
 from itertools import accumulate, chain, count, islice, repeat
 from operator import add, or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import Deadline, GraphConstructionError, ParameterError, ensure_deadline
+from .errors import Deadline, GraphConstructionError, ParameterError, ensure_deadline, refuse_write
 
 Edge = tuple[int, int]
 Matching = tuple[Edge, ...]
@@ -68,10 +67,10 @@ class LabeledGraph:
         self.__dict__.update(n=n, roles=roles, **given)
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        refuse_write("assign to", name)
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        refuse_write("delete", name)
 
     def __repr__(self) -> str:
         return f"LabeledGraph(n={self.n!r}, edges={self.edges!r}, roles={self.roles!r})"

@@ -25,13 +25,12 @@ its source, the small Kneser graph K(l, r - t).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from math import comb
 from typing import Any, Callable, Sequence
 
 from .coloring import ChiCertificate, chromatic_number, lovasz_chi
-from .errors import Deadline, KneserSizeError, ParameterError, VerificationError, ensure_deadline
+from .errors import Deadline, KneserSizeError, ParameterError, Record, VerificationError, ensure_deadline
 from .families import FamilyParams, gap_graph
 from .graphs import Edge, LabeledGraph, Matching, MatchingView, decode_matching
 from .kneser import capped_matchings, kneser_graph, r_subsets
@@ -45,8 +44,7 @@ from .graphs import iter_matchings  # noqa: F401
 CERTIFY_MATCHING_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class HomWitness:
+class HomWitness(Record):
     """An explicit vertex map between two graphs, checkable edge by edge.
 
     ``source_desc[i]`` and ``target_desc[j]`` describe what each vertex index
@@ -59,8 +57,7 @@ class HomWitness:
     mapping: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HomomorphismEvidence:
+class HomomorphismEvidence(Record):
     """Chi lower-bound witness: a verified homomorphism from a graph of known chi."""
 
     witness: HomWitness
@@ -75,8 +72,7 @@ class HomomorphismEvidence:
         }
 
 
-@dataclass(frozen=True)
-class FamilyCertification:
+class FamilyCertification(Record):
     """Everything certify_family established about one parameter choice."""
 
     params: FamilyParams

@@ -8,12 +8,11 @@ classical Kneser graph K(l, r) on r-subsets of an l-set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations
 from pathlib import Path
 
-from .errors import Deadline, KneserSizeError, ParameterError, ensure_deadline
+from .errors import Deadline, KneserSizeError, ParameterError, Record, ensure_deadline
 from .families import matching_graph
 from .graphs import LabeledGraph, Matching, _bit_positions, decode_matching, matching_blocks, write_edgelist
 
@@ -26,8 +25,7 @@ DEFAULT_MATCHING_CAP = 200_000
 KNESER_ROW_BYTES = 1 << 30
 
 
-@dataclass(frozen=True)
-class MatchingKneserGraph:
+class MatchingKneserGraph(Record):
     """The matching Kneser graph of ``host`` at matching size ``r``.
 
     ``masks[i]`` is the edge-index bitmask of the matching at vertex ``i``

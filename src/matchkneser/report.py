@@ -8,12 +8,10 @@ as an internal error rather than being reported.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Any
 
 from .coloring import ChiCertificate, chromatic_number
-from .errors import Deadline, KneserSizeError, SearchTimeout, VerificationError, ensure_deadline
+from .errors import Deadline, KneserSizeError, Record, SearchTimeout, VerificationError, ensure_deadline
 from .families import FamilyParams, gap_tree
 from .graphs import LabeledGraph, is_connected
 from .homcert import certify_family
@@ -25,8 +23,7 @@ VIOLATED = "VIOLATED"
 UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(Record):
     """One instance's numbers: edge count, ex, removal bound D, chi, and verdict.
 
     ``chi``/``gap`` are None when a solver timed out or the Kneser graph was
@@ -190,8 +187,16 @@ def sequence_report(
     return reports
 
 
+def json_text(payload: Any) -> str:
+    """``payload`` as indented JSON; ``json`` is imported on first use, not with the package."""
+
+    import json
+
+    return json.dumps(payload, indent=2)
+
+
 def reports_json(reports: list[GapReport]) -> str:
-    return json.dumps([rep.to_json_dict() for rep in reports], indent=2)
+    return json_text([rep.to_json_dict() for rep in reports])
 
 
 def reports_table(reports: list[GapReport]) -> str:

@@ -22,20 +22,18 @@ set is reached twice and no memo of visited sets is needed.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from itertools import islice
 from typing import Any
 
 from .coloring import DEFAULT_TIME_BUDGET
-from .errors import Deadline, ParameterError, SearchTimeout, ensure_deadline
+from .errors import Deadline, ParameterError, Record, SearchTimeout, ensure_deadline
 from .graphs import Edge, LabeledGraph, matching_number, maximum_mates, repair_matching
 
 # Unused here, but kept bound: perfbench/spans.py wraps these attributes of this module.
 from .graphs import first_matching, has_r_matching, remove_edges  # noqa: F401
 
 
-@dataclass(frozen=True)
-class DeletionCertificate:
+class DeletionCertificate(Record):
     """A set of deleted edges after which no r-matching survives.
 
     ``optimal`` asserts that the branch-and-bound exhausted every strictly

@@ -9,11 +9,10 @@ graphs); production code never calls them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .coloring import chromatic_number, lovasz_chi
-from .errors import Deadline, SearchTimeout, ensure_deadline
+from .errors import Deadline, Record, SearchTimeout, ensure_deadline
 from .families import FamilyParams, gap_graph, gap_tree, matching_graph, petersen
 from .graphs import LabeledGraph, enumerate_matchings, has_r_matching, is_connected, is_tree, make_graph, radius, remove_edges
 from .homcert import certify_family
@@ -100,20 +99,30 @@ def random_connected_graphs(
 # Verification targets
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Check:
+class Check(Record, frozen=False):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
-class VerifyResult:
+class VerifyResult(Record, frozen=False):
     target: str
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check]
     # (label, chi, removal bound) for every instance where both were computed
-    instances: list[tuple[str, int, int]] = field(default_factory=list)
-    unknown: bool = False
+    instances: list[tuple[str, int, int]]
+    unknown: bool
+
+    def __init__(
+        self,
+        target: str,
+        checks: list[Check] | None = None,
+        instances: list[tuple[str, int, int]] | None = None,
+        unknown: bool = False,
+    ) -> None:
+        self.target = target
+        self.checks = [] if checks is None else checks
+        self.instances = [] if instances is None else instances
+        self.unknown = unknown
 
     @property
     def ok(self) -> bool:

@@ -52,6 +52,30 @@ def test_growth_table_runs_to_r_seven():
     assert [rep["gap"] for rep in reports] == [1, 2, 3, 4, 5]
 
 
+def test_growth_table_reports_an_unknown_row_with_exit_three():
+    # At r = 8 the tree has 2,978,547 8-matchings, over the certification cap.
+    done = run_script("growth_table.py", "--r", "7", "8")
+    assert done.returncode == 3
+    assert done.stderr.splitlines() == ["unknown at: ['tree(r=8,theta=1)']"]
+    assert [row.split()[-1] for row in done.stdout.splitlines()[1:]] == ["yes", "-"]
+
+
+@pytest.mark.parametrize(
+    "name, flag, value, bound",
+    [
+        ("growth_table.py", "--r", "2", 3),
+        ("growth_table.py", "--theta", "0", 1),
+        ("gap_survey.py", "--max-r", "2", 3),
+        ("gap_survey.py", "--max-theta", "0", 1),
+    ],
+)
+def test_an_out_of_range_flag_is_a_usage_error(name, flag, value, bound):
+    done = run_script(name, flag, value)
+    assert done.returncode == 2
+    assert f"argument {flag}: must be at least {bound}, got {value}" in done.stderr
+    assert done.stdout == ""
+
+
 @pytest.mark.parametrize("grid", sorted(set(THEOREM2_GRID) | set(SURVEY_GRID)))
 def test_matching_count_closed_form_agrees_with_enumeration(grid):
     params = FamilyParams(*grid)
