@@ -3,23 +3,17 @@
 
 For every (r, theta, gamma) in the grid this certifies chi = theta via the
 two homomorphisms, solves the minimum deletion set exactly, and tabulates
-the gap between the removal bound and the chromatic number. A timeout or a
-cap overrun leaves a value unknown: its row reads UNKNOWN, and the script
-ends with "unknown at: ..." and exit code 3.
+the gap between the removal bound and the chromatic number. ``--timeout``
+bounds each instance as a whole, certification and deletion search
+together. A timeout or a cap overrun leaves a value unknown: its row reads
+UNKNOWN, and the script ends with "unknown at: ..." and exit code 3.
 """
 
 import argparse
 
-from matchkneser import (
-    FamilyParams,
-    KneserSizeError,
-    SearchTimeout,
-    certify_family,
-    gap_graph,
-    min_deletion_set,
-)
+from matchkneser import Deadline, FamilyParams, gap_graph
 from matchkneser.cli import exit_on_predictions, int_at_least, parse_seconds
-from matchkneser.report import assemble_report, reports_table
+from matchkneser.report import family_report, reports_table
 
 
 def main() -> None:
@@ -34,23 +28,8 @@ def main() -> None:
         for theta in range(1, args.max_theta + 1):
             for gamma in range(1, r - 1):
                 params = FamilyParams(r=r, theta=theta, gamma=gamma)
-                try:
-                    chi_cert = certify_family(params, time_budget=args.timeout).chi_certificate
-                except (KneserSizeError, SearchTimeout):
-                    chi_cert = None  # chi UNKNOWN, as in sequence_report
-                G = gap_graph(params)
-                deletion = min_deletion_set(G, r, time_budget=args.timeout)
-                reports.append(
-                    assemble_report(
-                        instance=f"gap(r={r},theta={theta},gamma={gamma})",
-                        r=r,
-                        G=G,
-                        deletion=deletion,
-                        chi_cert=chi_cert,
-                        predicted_chi=theta,
-                        predicted_removal=theta + gamma,
-                    )
-                )
+                label = f"gap(r={r},theta={theta},gamma={gamma})"
+                reports.append(family_report(params, gap_graph(params), label, Deadline(args.timeout)))
     print(reports_table(reports))
     exit_on_predictions(reports)
     print(f"\nall {len(reports)} instances match the closed forms")

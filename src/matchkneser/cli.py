@@ -16,8 +16,9 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .coloring import DEFAULT_TIME_BUDGET, chromatic_number
+from .coloring import chromatic_number
 from .errors import (
+    DEFAULT_TIME_BUDGET,
     Deadline,
     GraphConstructionError,
     KneserSizeError,

@@ -22,10 +22,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from .errors import Deadline, ParameterError, Record, VerificationError, ensure_deadline
+from .errors import DEFAULT_TIME_BUDGET, Deadline, ParameterError, Record, VerificationError, ensure_deadline
 from .graphs import LabeledGraph
-
-DEFAULT_TIME_BUDGET = 60.0
 
 _DEADLINE_STRIDE = 1024  # search nodes between deadline checks
 

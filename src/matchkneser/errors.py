@@ -6,6 +6,9 @@ import math
 import time
 from typing import Any, NoReturn
 
+# Seconds an exact solve may take when the caller names no budget.
+DEFAULT_TIME_BUDGET = 60.0
+
 
 class GraphConstructionError(ValueError):
     """Invalid graph input: loop edge, out-of-range vertex, malformed file."""

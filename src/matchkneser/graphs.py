@@ -42,7 +42,7 @@ class LabeledGraph:
     duplicate-free with every edge ``(u, v)`` satisfying ``u < v``, or
     ``adj_masks``, one neighbor bitmask per vertex. The form it was given is
     held as a plain attribute; the other is derived on first use and cached,
-    as are ``m``, ``edge_set`` and ``adj``. ``roles`` optionally tags each
+    as are ``m`` and ``adj``. ``roles`` optionally tags each
     vertex with a construction label such as ``"x2"`` or ``"w13"`` (empty
     string for untagged vertices); labels are metadata only and never
     influence any algorithm. Equality and hashing are over
@@ -104,10 +104,6 @@ class LabeledGraph:
         return sum(row.bit_count() for row in self.adj_masks) // 2
 
     @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuples, indexed by vertex."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
@@ -117,9 +113,8 @@ class LabeledGraph:
         return tuple(tuple(sorted(a)) for a in nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_set
+        """True iff (u, v) is an edge, read from ``adj_masks``; False outside ``0..n-1``."""
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj_masks[u] >> v & 1)
 
     def role_of(self, v: int) -> str:
         if self.roles is None:
@@ -300,7 +295,7 @@ def make_matching(G: LabeledGraph, edges: Iterable[tuple[int, int]]) -> Matching
     canon = sorted((u, v) if u < v else (v, u) for u, v in edges)
     used: set[int] = set()
     for u, v in canon:
-        if (u, v) not in G.edge_set:
+        if not G.has_edge(u, v):
             raise GraphConstructionError(f"edge ({u}, {v}) does not belong to the host graph")
         if u in used or v in used:
             raise GraphConstructionError(f"edges are not pairwise vertex-disjoint at ({u}, {v})")

@@ -148,6 +148,27 @@ def gap_report(
     return assemble_report(label, r, G, deletion, chi_cert)
 
 
+def family_report(params: FamilyParams, host: LabeledGraph, instance: str, deadline: Deadline) -> GapReport:
+    """One prescribed-gap instance solved on ``host`` and set against its closed forms.
+
+    chi comes from :func:`certify_family`, which never builds the big
+    Kneser graph; a certification that times out or exceeds its matching
+    cap leaves chi unknown, as in :func:`gap_report`. The predictions are
+    chi = theta and removal bound theta + gamma. ``deadline`` bounds the
+    whole instance.
+    """
+
+    try:
+        chi_cert = certify_family(params, deadline=deadline).chi_certificate
+    except (KneserSizeError, SearchTimeout):
+        chi_cert = None
+    deletion = min_deletion_set(host, params.r, deadline=deadline)
+    return assemble_report(
+        instance, params.r, host, deletion, chi_cert,
+        predicted_chi=params.theta, predicted_removal=params.theta + params.gamma,
+    )
+
+
 def sequence_report(
     theta: int,
     r_list: list[int],
@@ -159,31 +180,14 @@ def sequence_report(
     Each report carries the construction's closed-form predictions
     (chi = theta and removal bound theta + r - 2, hence gap r - 2) alongside
     the computed values; a mismatch shows up in ``prediction_match`` rather
-    than overwriting anything. A certification that times out or exceeds
-    its matching cap leaves chi unknown, as in :func:`gap_report`.
+    than overwriting anything. One deadline bounds the whole sequence.
     """
 
     deadline = ensure_deadline(deadline, time_budget)
     reports = []
     for r in r_list:
         params = FamilyParams(r=r, theta=theta, gamma=r - 2)
-        tree = gap_tree(r, theta)
-        try:
-            chi_cert = certify_family(params, deadline=deadline).chi_certificate
-        except (KneserSizeError, SearchTimeout):
-            chi_cert = None
-        deletion = min_deletion_set(tree, r, deadline=deadline)
-        reports.append(
-            assemble_report(
-                instance=f"tree(r={r},theta={theta})",
-                r=r,
-                G=tree,
-                deletion=deletion,
-                chi_cert=chi_cert,
-                predicted_chi=theta,
-                predicted_removal=theta + r - 2,
-            )
-        )
+        reports.append(family_report(params, gap_tree(r, theta), f"tree(r={r},theta={theta})", deadline))
     return reports
 
 

@@ -104,6 +104,13 @@ def test_turan_text(petersen_file, capsys):
     assert "(0,1) (0,4) (0,5)" in out
 
 
+def test_turan_solves_a_search_deeper_than_the_recursion_limit(tmp_path, capsys):
+    host = tmp_path / "1200k2.edges"
+    assert main(["gen", "--family", "matching", "--l", "1200", "--out", str(host)]) == EXIT_OK
+    assert main(["turan", "--in", str(host), "--r", "2"]) == EXIT_OK
+    assert "removal = 1199 (optimal)" in capsys.readouterr().out
+
+
 def test_gap_json(petersen_file, capsys):
     assert main(["gap", "--in", str(petersen_file), "--r", "5", "--format", "json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)

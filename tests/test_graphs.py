@@ -124,7 +124,9 @@ def test_mask_built_and_edge_built_graphs_agree(G):
     assert H == G and G == H
     assert hash(H) == hash(G)
     assert H.edges == G.edges
-    assert H.adj == G.adj and H.edge_set == G.edge_set and H.adj_masks == G.adj_masks
+    assert H.adj == G.adj and H.adj_masks == G.adj_masks
+    pairs = [(u, v) for u in range(-1, G.n + 1) for v in range(-1, G.n + 1)]
+    assert [H.has_edge(u, v) for u, v in pairs] == [G.has_edge(u, v) for u, v in pairs]
 
 
 def test_hashing_and_comparing_a_mask_built_graph_leaves_its_edges_undecoded():
@@ -132,6 +134,15 @@ def test_hashing_and_comparing_a_mask_built_graph_leaves_its_edges_undecoded():
     H = _from_masks(G)
     assert hash(H) == hash(G) and H == G and H != _from_masks(P4)
     assert "edges" not in vars(H)
+
+
+def test_has_edge_on_a_mask_built_graph_leaves_its_edges_undecoded():
+    G = petersen()
+    H = _from_masks(G)
+    assert all(H.has_edge(u, v) and H.has_edge(v, u) for u, v in G.edges)
+    assert not H.has_edge(0, 2) and not H.has_edge(0, 0)
+    assert not H.has_edge(-1, 0) and not H.has_edge(0, 10) and not H.has_edge(10, 0)
+    assert "edges" not in H.__dict__
 
 
 def test_graphs_differ_when_any_part_differs():

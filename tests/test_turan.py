@@ -13,6 +13,7 @@ from matchkneser import (
     SearchTimeout,
     certify_family,
     chromatic_number,
+    gap_graph,
     gap_tree,
     generalized_turan,
     make_graph,
@@ -156,6 +157,56 @@ def test_radius_two_tree_ladder(r, theta):
     cert = min_deletion_set(gap_tree(r, theta), r)
     assert cert.optimal
     assert cert.size == theta + r - 2
+
+
+class NodeCountingDeadline(Deadline):
+    """No time limit; counts ``expired()`` calls, one per search node, and expires after ``limit``."""
+
+    def __init__(self, limit=None):
+        super().__init__(None)
+        self.limit = limit
+        self.nodes = 0
+
+    def expired(self):
+        self.nodes += 1
+        return self.limit is not None and self.nodes > self.limit
+
+
+@pytest.mark.parametrize(
+    "G, r, nodes",
+    [
+        (petersen(), 5, 33),
+        (gap_tree(5, 1), 5, 61),
+        (gap_tree(7, 1), 7, 799),
+        (gap_tree(6, 3), 6, 930),
+        (gap_graph(FamilyParams(r=4, theta=2, gamma=2)), 4, 39),
+        (matching_graph(10), 3, 25),
+    ],
+    ids=["petersen-5", "tree-5-1", "tree-7-1", "tree-6-3", "gap-4-2-2", "10K2-3"],
+)
+def test_search_enters_a_pinned_number_of_nodes(G, r, nodes):
+    deadline = NodeCountingDeadline()
+    assert min_deletion_set(G, r, deadline=deadline).optimal
+    assert deadline.nodes == nodes
+
+
+@pytest.mark.parametrize("limit", [0, 1, 50, 400, 798])
+def test_search_stopped_after_some_nodes_still_returns_a_valid_set(limit):
+    G = gap_tree(7, 1)
+    deadline = NodeCountingDeadline(limit)
+    cert = min_deletion_set(G, 7, deadline=deadline)
+    assert not cert.optimal
+    assert deadline.nodes == limit + 1  # the search stops at the first expired check
+    assert cert.size == len(cert.deleted)
+    assert matching_number(remove_edges(G, cert.deleted)) < 7
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # 1200K2 keeps one edge at r = 2: the search path is 1199 deletions deep.
+    G = matching_graph(1200)
+    cert = min_deletion_set(G, 2)
+    assert cert.size == 1199 and cert.optimal
+    assert cert.deleted == G.edges[:-1]  # lexicographically least optimum
 
 
 def _random_graph(rng, n, p):
