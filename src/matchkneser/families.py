@@ -128,10 +128,6 @@ def gap_tree(r: int, theta: int) -> LabeledGraph:
     The tree shape is a checked postcondition, not an assumption.
     """
 
-    if r < 3:
-        raise ParameterError(f"need r >= 3, got r={r}")
-    if theta < 1:
-        raise ParameterError(f"need theta >= 1, got theta={theta}")
     G = gap_graph(FamilyParams(r=r, theta=theta, gamma=r - 2))
     if not is_tree(G) or radius(G) != 2:
         raise VerificationError("gap_tree construction is not a radius-2 tree; construction bug")

@@ -4,24 +4,29 @@ A graph is built from its sorted edge list or from its neighbor bitmasks
 (one row per vertex, as the matching Kneser construction makes them); the
 other form, the edge count and the neighbor tuples are derived lazily on
 first use and cached, so a graph that is only colored never builds its edge
-list. Graphs are immutable after construction: edge deletion returns a new
-graph value, and all operations are pure functions of their inputs, except
+list, and one that is only written builds neither missing form. Graphs are
+immutable after construction: edge deletion returns a new graph value, and
+all operations are pure functions of their inputs, except
 ``repair_matching``, which updates a caller-owned mate array in place for
-incremental searches over one mutable adjacency. An enumerated matching is
-stored only as its edge-index bitmask (bit i for ``G.edges[i]``), one int
-of 28 to 60 bytes on hosts of 12 to 495 edges; two matchings are
-edge-disjoint when their masks AND to zero. Its canonical form, the sorted
-tuple of ``(u, v)`` edges with ``u < v``, in which equality and ordering are
-structural, is decoded by :func:`decode_matching` only when something reads
-it.
+incremental searches over one mutable adjacency and logs each entry it
+overwrites, so that the caller can undo it. The traversals keep state only
+for the vertices they reach: one breadth-first search serves connectivity,
+bipartition and eccentricity, and the augmenting-path search allocates
+nothing of size n, so a search near a few vertices of a large host costs
+what it touches. An enumerated matching is stored only as its edge-index
+bitmask (bit i for ``G.edges[i]``), one int of 28 to 60 bytes on hosts of
+12 to 495 edges; two matchings are edge-disjoint when their masks AND to
+zero. Its canonical form, the sorted tuple of ``(u, v)`` edges with
+``u < v``, in which equality and ordering are structural, is decoded by
+:func:`decode_matching` only when something reads it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property, partial
-from itertools import accumulate, chain, count, islice, repeat
-from operator import add, or_
+from itertools import accumulate, chain, count, groupby, islice, repeat
+from operator import add, itemgetter, or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -196,46 +201,53 @@ def remove_edges(G: LabeledGraph, drop: Iterable[Edge]) -> LabeledGraph:
 # Structural predicates
 # ---------------------------------------------------------------------------
 
+def _bfs(adj, start: int, dist: dict[int, int]) -> int:
+    """Breadth-first search from ``start``; returns the last vertex it reaches.
+
+    Each vertex reached is given its distance from ``start`` in ``dist``;
+    vertices already in ``dist`` are not entered. Vertices leave the queue
+    in order of distance, so the last one is a farthest one.
+    """
+
+    dist[start] = 0
+    queue = deque([start])
+    v = start
+    while queue:
+        v = queue.popleft()
+        step = dist[v] + 1
+        for u in adj[v]:
+            if u not in dist:
+                dist[u] = step
+                queue.append(u)
+    return v
+
+
 def is_connected(G: LabeledGraph) -> bool:
     """True iff the graph has a single component (vacuously true for n <= 1)."""
 
     if G.n <= 1:
         return True
-    seen = bytearray(G.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    adj = G.adj
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = 1
-                count += 1
-                stack.append(u)
-    return count == G.n
+    dist: dict[int, int] = {}
+    _bfs(G.adj, 0, dist)
+    return len(dist) == G.n
 
 
 def bipartition(G: LabeledGraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """A two-coloring of the vertices as two sorted sides, or None if an odd cycle exists."""
+    """A two-coloring of the vertices as two sorted sides, or None if an odd cycle exists.
 
-    side = [-1] * G.n
-    adj = G.adj
+    Each component's least vertex is on the first side, and every other
+    vertex on the side its distance from it selects.
+    """
+
+    dist: dict[int, int] = {}
     for start in range(G.n):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if side[u] == -1:
-                    side[u] = 1 - side[v]
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    return None
-    left = tuple(v for v in range(G.n) if side[v] == 0)
-    right = tuple(v for v in range(G.n) if side[v] == 1)
+        if start not in dist:
+            _bfs(G.adj, start, dist)
+    side = [dist[v] & 1 for v in range(G.n)]
+    if any(side[u] == side[v] for u, v in G.edges):
+        return None
+    left = tuple(v for v in range(G.n) if not side[v])
+    right = tuple(v for v in range(G.n) if side[v])
     return left, right
 
 
@@ -245,25 +257,6 @@ def is_bipartite(G: LabeledGraph) -> bool:
 
 def is_tree(G: LabeledGraph) -> bool:
     return is_connected(G) and G.m == G.n - 1
-
-
-def _farthest(G: LabeledGraph, start: int) -> tuple[int, int]:
-    """A vertex farthest from ``start`` and its distance, the eccentricity of ``start``."""
-
-    dist = [-1] * G.n
-    dist[start] = 0
-    queue = deque([start])
-    v = start
-    adj = G.adj
-    while queue:
-        v = queue.popleft()  # BFS dequeues in order of distance, so the last is farthest
-        for u in adj[v]:
-            if dist[u] == -1:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    if -1 in dist:
-        raise ParameterError("eccentricity is undefined on a disconnected graph")
-    return v, dist[v]
 
 
 def radius(G: LabeledGraph) -> int:
@@ -278,11 +271,15 @@ def radius(G: LabeledGraph) -> int:
         raise ParameterError("radius is undefined for the vertex-free graph")
     if not is_connected(G):
         raise ParameterError("radius requires a connected graph")
+    adj = G.adj
+
+    def eccentricity(v: int) -> int:
+        dist: dict[int, int] = {}
+        return dist[_bfs(adj, v, dist)]
+
     if G.m == G.n - 1:
-        end, _ = _farthest(G, 0)
-        _, diameter = _farthest(G, end)
-        return (diameter + 1) // 2
-    return min(_farthest(G, v)[1] for v in range(G.n))
+        return (eccentricity(_bfs(adj, 0, {})) + 1) // 2
+    return min(map(eccentricity, range(G.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -470,54 +467,61 @@ def first_matching(G: LabeledGraph, r: int) -> Matching | None:
 # no augmenting path exists from the chosen exposed vertex, which by Berge's
 # lemma never needs revisiting.
 
-def _find_augmenting_path(n: int, adj, match: list[int], root: int) -> bool:
-    parent = [-1] * n
-    base = list(range(n))
-    in_queue = [False] * n
-    in_queue[root] = True
+def _find_augmenting_path(adj, match: list[int], root: int, log: list[tuple[int, int]]) -> bool:
+    # State is kept only for the vertices the alternating tree reaches: one
+    # missing from ``base`` is its own base, and one missing from ``parent``
+    # has no parent in the tree. Each mate entry the augmentation overwrites
+    # is appended to ``log`` as (vertex, old mate) before it is written.
+    parent: dict[int, int] = {}
+    base: dict[int, int] = {}
+    base_of = base.get
+    queued = {root}
     queue = deque([root])
 
     def lowest_common_base(a: int, b: int) -> int:
-        marked = [False] * n
+        marked: set[int] = set()
         x = a
         while True:
-            x = base[x]
-            marked[x] = True
+            x = base_of(x, x)
+            marked.add(x)
             if match[x] == -1:
                 break
             x = parent[match[x]]
         y = b
         while True:
-            y = base[y]
-            if marked[y]:
+            y = base_of(y, y)
+            if y in marked:
                 return y
             y = parent[match[y]]
 
-    def mark_blossom_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
-        while base[v] != stem:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+    def mark_blossom_path(v: int, stem: int, child: int, in_blossom: set[int]) -> None:
+        while base_of(v, v) != stem:
+            w = match[v]
+            in_blossom.add(base_of(v, v))
+            in_blossom.add(base_of(w, w))
             parent[v] = child
-            child = match[v]
-            v = parent[match[v]]
+            child = w
+            v = parent[w]
 
     while queue:
         v = queue.popleft()
         for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
+            if base_of(v, v) == base_of(to, to) or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+            if to == root or match[to] in parent:
                 stem = lowest_common_base(v, to)
-                in_blossom = [False] * n
+                in_blossom: set[int] = set()
                 mark_blossom_path(v, stem, to, in_blossom)
                 mark_blossom_path(to, stem, v, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
+                # Only tree vertices can have a base in the blossom, and taking
+                # them in increasing order queues them as a sweep of all would.
+                for i in sorted(queued.union(parent)):
+                    if base_of(i, i) in in_blossom:
                         base[i] = stem
-                        if not in_queue[i]:
-                            in_queue[i] = True
+                        if i not in queued:
+                            queued.add(i)
                             queue.append(i)
-            elif parent[to] == -1:
+            elif to not in parent:
                 parent[to] = v
                 if match[to] == -1:
                     # augment along the alternating path back to the root
@@ -525,11 +529,12 @@ def _find_augmenting_path(n: int, adj, match: list[int], root: int) -> bool:
                     while u != -1:
                         pv = parent[u]
                         next_u = match[pv]
+                        log += (u, match[u]), (pv, next_u)
                         match[u] = pv
                         match[pv] = u
                         u = next_u
                     return True
-                in_queue[match[to]] = True
+                queued.add(match[to])
                 queue.append(match[to])
     return False
 
@@ -537,20 +542,19 @@ def _find_augmenting_path(n: int, adj, match: list[int], root: int) -> bool:
 def maximum_mates(G: LabeledGraph) -> list[int]:
     """A maximum matching of G as a mate array: ``mate[v]`` is v's partner, or -1."""
 
-    n = G.n
-    mate = [-1] * n
+    mate = [-1] * G.n
     for u, v in G.edges:  # greedy seed in canonical edge order
         if mate[u] == -1 and mate[v] == -1:
             mate[u] = v
             mate[v] = u
     adj = G.adj
-    for v in range(n):
+    for v in range(G.n):
         if mate[v] == -1:
-            _find_augmenting_path(n, adj, mate, v)
+            _find_augmenting_path(adj, mate, v, [])
     return mate
 
 
-def repair_matching(adj, mate: list[int], u: int, v: int) -> int:
+def repair_matching(adj, mate: list[int], u: int, v: int, log: list[tuple[int, int]]) -> int:
     """Keep ``mate`` maximum after the edge (u, v) is deleted from ``adj``; returns the drop in size.
 
     ``mate`` must be a maximum matching of the graph before the deletion and
@@ -559,13 +563,17 @@ def repair_matching(adj, mate: list[int], u: int, v: int) -> int:
     from u, then from v: any augmenting path must end at one of them, since
     every other exposed vertex was already exposed under a maximum matching.
     So the matching number drops by 0 or 1 and two searches decide which.
+    The searches read only the component of u and v and allocate nothing of
+    size n. Every entry of ``mate`` that is overwritten is first appended to
+    ``log`` as ``(vertex, old mate)``, so writing the pairs back in reverse
+    order restores ``mate``.
     """
 
     if mate[u] != v:
         return 0
+    log += (u, v), (v, u)
     mate[u] = mate[v] = -1
-    n = len(mate)
-    if _find_augmenting_path(n, adj, mate, u) or _find_augmenting_path(n, adj, mate, v):
+    if _find_augmenting_path(adj, mate, u, log) or _find_augmenting_path(adj, mate, v, log):
         return 0
     return 1
 
@@ -642,16 +650,22 @@ def parse_edgelist(text: str) -> LabeledGraph:
 
 
 def write_edgelist(G: LabeledGraph, path: str | Path) -> None:
-    """Write G in edge-list format, row by row from its neighbor masks.
+    """Write G in edge-list format, one row per lower endpoint, from the form G holds.
 
-    No edge tuple and no line list is built: each row's lines are joined
-    into one string, and only that row's text is held at a time. The bytes
-    are those of edgelist_lines(G), one per line.
+    A graph that holds its edge list writes it grouped by lower endpoint; a
+    mask-built one writes its neighbor masks' rows, so neither builds the
+    other form. No line list is built: each row's lines are joined into one
+    string, and only that row's text is held at a time. The bytes are those
+    of edgelist_lines(G), one per line.
     """
 
+    if "edges" in vars(G):
+        rows = ((u, map(itemgetter(1), row)) for u, row in groupby(G.edges, itemgetter(0)))
+    else:
+        rows = _upper_neighbors(G.adj_masks)
     with open(path, "w") as fh:
         fh.writelines(line + "\n" for line in _header_lines(G))
-        for u, vs in _upper_neighbors(G.adj_masks):
+        for u, vs in rows:
             fh.write(f"{u} " + f"\n{u} ".join(map(str, vs)) + "\n")
 
 

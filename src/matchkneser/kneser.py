@@ -96,8 +96,6 @@ def build_matching_kneser(
     :class:`SearchTimeout` when it has expired.
     """
 
-    if r < 1:
-        raise ParameterError("matching size r must be at least 1")
     deadline = ensure_deadline(deadline, None)
     masks = capped_matchings(G, r, cap, deadline)
     n = len(masks)

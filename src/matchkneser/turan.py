@@ -21,7 +21,11 @@ set is reached twice and no memo of visited sets is needed.
 The search does not recurse. It is one loop over an explicit trail, one
 entry per node on the current path, so the depth is bounded by memory, not
 by the interpreter's recursion limit: 1200K2 at r = 2 is solved down a
-path 1,199 deletions deep, and its 1,199 is proven optimal.
+path 1,199 deletions deep, and its 1,199 is proven optimal. An entry keeps
+no copy of the mate array, only the log of the (vertex, old mate) pairs
+the repair after its current branch overwrote; backing out of the branch
+writes them back in reverse order. So the trail grows with depth times
+augmenting-path length, not depth times the vertex count.
 """
 
 from __future__ import annotations
@@ -77,9 +81,8 @@ def min_deletion_set(
     if r < 1:
         raise ParameterError("matching size r must be at least 1")
     deadline = ensure_deadline(deadline, time_budget)
-    n = G.n
     mate = maximum_mates(G)
-    nu = sum(1 for v in range(n) if mate[v] > v)
+    nu = sum(1 for v, w in enumerate(mate) if w > v)
     if nu < r:
         return DeletionCertificate(r=r, deleted=(), size=0, optimal=True)
 
@@ -89,9 +92,9 @@ def min_deletion_set(
     # Deleting everything is always valid, which seeds the bound.
     best_size = G.m
     best_set: tuple[Edge, ...] = G.edges
-    # One entry per node on the path: its nu, its mate array on entry, its
-    # branching edges and how many of them it has taken. removed[i] is the
-    # edge node i is exploring.
+    # One entry per node on the path: its nu, its branching edges, how many
+    # of them it has taken, and the log of the mate entries the repair after
+    # its current branch overwrote. removed[i] is the edge node i is exploring.
     trail: list[list[Any]] = []
     optimal = False
     while not deadline.expired():
@@ -118,24 +121,26 @@ def min_deletion_set(
             # matched edges in vertex order.
             need = r - sum(1 for u, v in frozen if mate[u] == v)
             unfrozen = ((v, w) for v, w in enumerate(mate) if w > v and (v, w) not in frozen)
-            trail.append([nu, mate[:], list(islice(unfrozen, max(need, 0))), 0])
+            trail.append([nu, list(islice(unfrozen, max(need, 0))), 0, []])
         # Back up to the deepest node with a branch left and take it. A
         # finished branch's edge stays frozen until its node is done.
         while trail:
-            node_nu, saved, branching, taken = node = trail[-1]
+            node_nu, branching, taken, log = node = trail[-1]
             if taken:
                 u, v = removed.pop()
                 insort(adj[u], v)
                 insort(adj[v], u)
-                mate[:] = saved
+                for w, old in reversed(log):
+                    mate[w] = old
+                log.clear()
                 frozen.add((u, v))
             if taken < len(branching):
-                node[3] = taken + 1
+                node[2] = taken + 1
                 u, v = branching[taken]
                 adj[u].remove(v)
                 adj[v].remove(u)
                 removed.append((u, v))
-                nu = node_nu - repair_matching(adj, mate, u, v)
+                nu = node_nu - repair_matching(adj, mate, u, v, log)
                 break
             frozen.difference_update(branching)
             trail.pop()

@@ -49,6 +49,15 @@ def test_param_validation_names_the_inequality(r, theta, gamma, message):
         FamilyParams(r, theta, gamma)
 
 
+@pytest.mark.parametrize(
+    "r, theta, message",
+    [(2, 1, "need r >= 3, got r=2"), (2, 0, "need r >= 3, got r=2"), (3, 0, "need theta >= 1, got theta=0")],
+)
+def test_gap_tree_refuses_parameters_with_the_family_messages(r, theta, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        gap_tree(r, theta)
+
+
 def test_gap_graph_small_instances():
     G = gap_graph(FamilyParams(3, 1, 1))
     assert (G.n, G.m) == (13, 12)

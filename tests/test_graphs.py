@@ -194,6 +194,13 @@ def test_edge_built_graph_is_written_from_its_rows(tmp_path, G):
     assert read_edgelist(tmp_path / "g.edges") == G
 
 
+def test_edge_built_graph_is_written_without_building_its_masks(tmp_path):
+    G = gap_tree(4, 2)
+    write_edgelist(G, tmp_path / "t.edges")
+    assert "adj_masks" not in vars(G)
+    assert (tmp_path / "t.edges").read_text() == "\n".join(edgelist_lines(G)) + "\n"
+
+
 def test_connectivity():
     assert is_connected(P4)
     assert not is_connected(make_graph(4, [(0, 1), (2, 3)]))
@@ -216,6 +223,44 @@ def test_tree_and_radius():
         radius(make_graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(ParameterError):
         radius(make_graph(0, []))
+
+
+def _random_host(rng):
+    # Half of the hosts are drawn across a random cut, so many are bipartite;
+    # sparse ones are often disconnected.
+    n = rng.randint(0, 14)
+    cut = rng.getrandbits(n) if rng.random() < 0.5 else None
+    p = rng.choice((0.1, 0.2, 0.35, 0.6))
+    pairs = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p and (cut is None or (cut >> u ^ cut >> v) & 1)
+    ]
+    return make_graph(n, pairs)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_connectivity_bipartition_and_radius_agree_with_networkx(seed):
+    G = _random_host(random.Random(seed))
+    H = to_networkx(G)
+    connected = G.n <= 1 or nx.is_connected(H)
+    assert is_connected(G) == connected
+    if nx.is_bipartite(H):
+        # each component's least vertex on the first side, the rest by distance parity
+        parity = {}
+        for component in nx.connected_components(H):
+            lengths = nx.single_source_shortest_path_length(H, min(component))
+            parity.update((v, d & 1) for v, d in lengths.items())
+        sides = tuple(tuple(v for v in range(G.n) if parity[v] == s) for s in (0, 1))
+        assert bipartition(G) == sides
+    else:
+        assert bipartition(G) is None
+    if not connected or G.n == 0:
+        with pytest.raises(ParameterError):
+            radius(G)
+    else:
+        assert radius(G) == nx.radius(H)
 
 
 def _random_tree(rng, n):

@@ -84,6 +84,11 @@ def test_kneser_graph_domain():
         kneser_graph(3, 0)
 
 
+def test_matching_kneser_refuses_r_below_one():
+    with pytest.raises(ParameterError, match="^matching size r must be at least 1$"):
+        build_matching_kneser(petersen(), 0)
+
+
 @pytest.mark.parametrize("l", range(1, 8))
 @pytest.mark.parametrize("r", (1, 2, 3))
 def test_kneser_equals_matching_kneser_of_matching_graph(l, r):

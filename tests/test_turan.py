@@ -1,6 +1,7 @@
 """Minimum deletion sets and generalized Turán numbers, against naive oracles."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -224,12 +225,65 @@ def test_repaired_matching_is_maximum_after_each_deletion(seed):
         adj[v].remove(u)
         mate = maximum_mates(G)
         left = remove_edges(G, [(u, v)])
-        assert nu - repair_matching(adj, mate, u, v) == matching_number(left)
+        assert nu - repair_matching(adj, mate, u, v, []) == matching_number(left)
         # the repaired mate array is a matching of the smaller graph
         pairs = [(a, mate[a]) for a in range(G.n) if mate[a] > a]
         assert all(mate[b] == a for a, b in pairs)
         assert all(left.has_edge(a, b) for a, b in pairs)
         assert len(pairs) == matching_number(left)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_replaying_the_repair_log_in_reverse_restores_the_mates(seed):
+    rng = random.Random(seed)
+    G = _random_graph(rng, rng.randint(4, 12), rng.choice((0.2, 0.35, 0.5)))
+    before = maximum_mates(G)
+    for u, v in G.edges:
+        adj = [list(a) for a in G.adj]
+        adj[u].remove(v)
+        adj[v].remove(u)
+        mate = before[:]
+        log = []
+        repair_matching(adj, mate, u, v, log)
+        for w, old in reversed(log):
+            mate[w] = old
+        assert mate == before
+
+
+def _traced_peak(run):
+    """``run()`` and the peak bytes it held, as traced by tracemalloc."""
+
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_repair_allocates_nothing_of_the_host_size():
+    # An augmenting path through a blossom beside 200,000 isolated vertices:
+    # deleting the matched edge (0, 6) leaves 0 exposed, and 0-1-2-4-3-5
+    # augments once the blossom 2-3-4 is shrunk.
+    n = 200_007
+    adj = [[] for _ in range(n)]
+    for u, v in [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4), (3, 5)]:
+        adj[u].append(v)
+        adj[v].append(u)
+    mate = [6, 2, 1, 4, 3, -1, 0] + [-1] * (n - 7)
+    log = []
+    drop, peak = _traced_peak(lambda: repair_matching(adj, mate, 0, 6, log))
+    assert drop == 0 and mate[:7] == [1, 0, 4, 5, 2, 3, -1]
+    assert peak < 64 * 1024  # one n-length list of ints would be 1.6 MB
+
+
+def test_deletion_search_keeps_no_copy_of_the_mate_array_per_node():
+    # 1000K2 at r = 2 is searched down a path 999 deletions deep; a copy of
+    # its 2,000-entry mate array per node would hold about 16 MB.
+    G = matching_graph(1000)
+    G.adj  # built before the measurement
+    cert, peak = _traced_peak(lambda: min_deletion_set(G, 2))
+    assert cert.size == 999 and cert.optimal
+    assert peak < 4 * 1024 * 1024
 
 
 def test_prop1_reports_each_check_on_its_own(monkeypatch):
