@@ -23,6 +23,7 @@ zero. Its canonical form, the sorted tuple of ``(u, v)`` edges with
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from functools import cached_property, partial
 from itertools import accumulate, chain, count, groupby, islice, repeat
@@ -118,8 +119,18 @@ class LabeledGraph:
         return tuple(tuple(sorted(a)) for a in nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        """True iff (u, v) is an edge, read from ``adj_masks``; False outside ``0..n-1``."""
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj_masks[u] >> v & 1)
+        """True iff (u, v) is an edge; False outside ``0..n-1``.
+
+        Read from ``adj_masks`` when the graph holds them, else from the
+        sorted ``adj``, so an edge-built graph stays free of n-bit rows.
+        """
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
+        if "adj_masks" in self.__dict__:
+            return bool(self.adj_masks[u] >> v & 1)
+        nbrs = self.adj[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def role_of(self, v: int) -> str:
         if self.roles is None:

@@ -208,7 +208,10 @@ def test_certify_over_cap_is_refused_by_the_closed_form_count(capsys):
 
 def test_timeout_exit_code(petersen_file, capsys):
     assert main(["chi", "--in", str(petersen_file), "--timeout", "-1"]) == EXIT_UNKNOWN
-    assert "timeout" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "timeout: k-coloring search exceeded time budget of -1.0 s while searching for a 2-coloring;"
+        " chi >= 2 is proven (greedy clique of 2)\n"
+    )
 
 
 def test_nan_timeout_is_usage_error(petersen_file, capsys):

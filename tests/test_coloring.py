@@ -1,5 +1,6 @@
 """Exact coloring solver: certificates, brute-force agreement, closed form."""
 
+import random
 import sys
 
 import pytest
@@ -23,6 +24,7 @@ from matchkneser import (
     make_graph,
     petersen,
 )
+from matchkneser import coloring
 from matchkneser.coloring import check_coloring
 
 from helpers import brute_force_chromatic, graphs, reference_k_coloring
@@ -149,16 +151,17 @@ def test_certificate_json_shape():
     assert len(payload["coloring"]) == 4
 
 
-class _TripOnSecondCheck(Deadline):
-    """No time limit until the second check, which raises: a timeout inside the search."""
+class _TripOnCheck(Deadline):
+    """No time limit until check number ``trips``, which raises: a timeout inside the search."""
 
-    def __init__(self):
+    def __init__(self, trips=2):
         super().__init__(None)
         self.checks = 0
+        self.trips = trips
 
     def check(self, what="search"):
         self.checks += 1
-        if self.checks > 1:
+        if self.checks >= self.trips:
             raise SearchTimeout(what)
 
 
@@ -171,10 +174,43 @@ def test_search_leaves_the_recursion_limit_alone():
         assert chromatic_number(kneser_graph(7, 2)).k == 5
         assert sys.getrecursionlimit() == 1000
         with pytest.raises(SearchTimeout):
-            is_k_colorable(kneser_graph(9, 3), 4, deadline=_TripOnSecondCheck())
+            is_k_colorable(kneser_graph(9, 3), 4, deadline=_TripOnCheck())
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
+
+
+@pytest.mark.parametrize(
+    "name, k, nodes",
+    [
+        ("K(10,2)", 7, 13650),  # 26,798 without the forced-color cut
+        ("K(9,3)", 4, 1435),  # 2,117 without it
+        ("gap(3,5,1)", 4, 1982),  # 4,376 without it
+    ],
+)
+def test_refutation_node_counts(monkeypatch, name, k, nodes):
+    # With a stride of 1 the search checks its deadline once per node, after
+    # the one check is_k_colorable makes before it starts.
+    monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 1)
+    deadline = _TripOnCheck(trips=float("inf"))
+    assert is_k_colorable(_search_graph(name), k, deadline=deadline) is None
+    assert deadline.checks == 1 + nodes
+    if name == "K(9,3)":
+        # test_search_leaves_the_recursion_limit_alone needs this search to
+        # reach its second deadline check, at node 1,024.
+        assert nodes >= 1024
+
+
+def test_chromatic_number_timeout_says_how_far_it_got():
+    # K(9,3) has chi = 5 and a greedy clique of 3. The 3-coloring search is
+    # refuted within its first 1,024 nodes; the deadline then trips inside
+    # the 4-coloring search, at its node 1,024.
+    with pytest.raises(SearchTimeout) as info:
+        chromatic_number(kneser_graph(9, 3), deadline=_TripOnCheck(trips=3))
+    assert str(info.value) == (
+        "k-coloring search while searching for a 4-coloring; chi >= 4 is proven (greedy clique of 3)"
+    )
+    assert isinstance(info.value.__cause__, SearchTimeout)
 
 
 def test_deep_searches_never_touch_the_recursion_limit(monkeypatch):
@@ -228,6 +264,21 @@ def test_search_matches_the_reference_on_small_graphs(G):
     for k in range(1, chi + 2):
         expected = reference_k_coloring(G, k)
         assert is_k_colorable(G, k) == (None if expected is None else tuple(expected))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_search_matches_the_reference_on_larger_random_graphs(seed):
+    # The hypothesis test above stops at 12 vertices. On these graphs of 13
+    # to 20 the forced-color cut fires in about half the searches.
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(13, 20)
+        p = rng.uniform(0.2, 0.7)
+        G = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        chi = chromatic_number(G).k
+        for k in range(1, chi + 2):
+            expected = reference_k_coloring(G, k)
+            assert is_k_colorable(G, k) == (None if expected is None else tuple(expected)), (seed, n, k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -145,6 +145,23 @@ def test_has_edge_on_a_mask_built_graph_leaves_its_edges_undecoded():
     assert "edges" not in H.__dict__
 
 
+@pytest.mark.parametrize("G", [P4, K3, petersen(), gap_tree(3, 1), make_graph(5, [(1, 3)])])
+def test_has_edge_on_an_edge_built_graph_leaves_its_masks_unbuilt(G):
+    G = make_graph(G.n, G.edges)  # a fresh copy, with no masks cached
+    pairs = [(u, v) for u in range(-1, G.n + 1) for v in range(-1, G.n + 1)]
+    got = [G.has_edge(u, v) for u, v in pairs]
+    assert "adj_masks" not in vars(G)
+    assert got == [_from_masks(G).has_edge(u, v) for u, v in pairs]
+
+
+def test_has_edge_on_a_large_tree_reads_no_masks():
+    # Rows of 24,362 bits each would hold about 74 MB.
+    G = gap_tree(9, 3)
+    assert all(G.has_edge(u, v) and G.has_edge(v, u) for u, v in G.edges[:100])
+    assert not G.has_edge(0, 1) and not G.has_edge(0, G.n)
+    assert "adj_masks" not in vars(G)
+
+
 def test_graphs_differ_when_any_part_differs():
     H = _from_masks(P4)
     assert H != _from_masks(make_graph(4, [(0, 1), (1, 2)]))
