@@ -27,10 +27,10 @@ from .errors import (
     VerificationError,
 )
 from .families import FamilyParams, gap_graph, gap_tree, matching_graph, petersen
-from .graphs import read_edgelist, write_edgelist, edgelist_lines
+from .graphs import edgelist_pieces, matching_text, read_edgelist, write_lines
 from .homcert import CERTIFY_MATCHING_CAP, certify_family, hom_witness_lines
 from .kneser import DEFAULT_MATCHING_CAP, build_matching_kneser, write_kneser_files
-from .report import GapReport, assemble_report, gap_report, json_text, reports_json, reports_table
+from .report import UNKNOWN, GapReport, assemble_report, gap_report, reports_table, write_json
 from .turan import min_deletion_set
 from .verify import TARGETS, run_target
 
@@ -202,11 +202,9 @@ def _run_gen(args: argparse.Namespace) -> int:
         raise ParameterError(f"--family {args.family} does not read {', '.join(unread)}")
     _require(args, *reads)
     G = build(args)
+    write_lines(edgelist_pieces(G), args.out)
     if args.out is not None:
-        write_edgelist(G, args.out)
         print(f"wrote {args.out} ({G.n} vertices, {G.m} edges)")
-    else:
-        print("\n".join(edgelist_lines(G)))
     return EXIT_OK
 
 
@@ -218,31 +216,30 @@ def _run_kneser(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _emit(args: argparse.Namespace, payload: object, text: str) -> None:
+    """Write ``payload`` as JSON to ``--out``, if given, then print it as JSON or ``text`` by ``--format``."""
+
+    if args.out is not None:
+        write_json(payload, args.out)
+    if args.fmt == "json":
+        write_json(payload, None)
+    else:
+        print(text)
+
+
 def _run_chi(args: argparse.Namespace) -> int:
     G = read_edgelist(args.infile)
     cert = chromatic_number(G, deadline=Deadline(args.timeout))
-    payload = json_text(cert.to_json_dict())
-    if args.out is not None:
-        args.out.write_text(payload + "\n")
-    if args.fmt == "json":
-        print(payload)
-    else:
-        print(f"chi = {cert.k} (witness {cert.witness.kind})")
+    _emit(args, cert.to_json_dict(), f"chi = {cert.k} (witness {cert.witness.kind})")
     return EXIT_OK
 
 
 def _run_turan(args: argparse.Namespace) -> int:
     G = read_edgelist(args.infile)
     cert = min_deletion_set(G, args.r, deadline=Deadline(args.timeout))
-    payload = json_text(cert.to_json_dict())
-    if args.out is not None:
-        args.out.write_text(payload + "\n")
-    if args.fmt == "json":
-        print(payload)
-    else:
-        deleted = " ".join(f"({u},{v})" for u, v in cert.deleted)
-        status = "optimal" if cert.optimal else "upper bound only (timed out)"
-        print(f"removal = {cert.size} ({status}), ex = {G.m - cert.size}, deleted: {deleted}")
+    status = "optimal" if cert.optimal else "upper bound only (timed out)"
+    text = f"removal = {cert.size} ({status}), ex = {G.m - cert.size}, deleted: {matching_text(cert.deleted)}"
+    _emit(args, cert.to_json_dict(), text)
     return EXIT_OK if cert.optimal else EXIT_UNKNOWN
 
 
@@ -255,10 +252,8 @@ def _run_gap(args: argparse.Namespace) -> int:
         deadline=Deadline(args.timeout),
         kneser_cap=args.kneser_cap,
     )
-    if args.out is not None:
-        args.out.write_text(reports_json([rep]) + "\n")
-    print(reports_json([rep]) if args.fmt == "json" else reports_table([rep]))
-    return EXIT_UNKNOWN if rep.verdict == "UNKNOWN" else EXIT_OK
+    _emit(args, [rep.to_json_dict()], reports_table([rep]))
+    return EXIT_UNKNOWN if rep.verdict == UNKNOWN else EXIT_OK
 
 
 def _run_certify(args: argparse.Namespace) -> int:
@@ -274,42 +269,36 @@ def _run_certify(args: argparse.Namespace) -> int:
         certification.chi_certificate,
     )
     if args.out is not None:
-        base = args.out
-        Path(str(base) + ".json").write_text(reports_json([rep]) + "\n")
-        Path(str(base) + ".forward.txt").write_text(
-            "\n".join(hom_witness_lines(certification.forward)) + "\n"
-        )
-        Path(str(base) + ".backward.txt").write_text(
-            "\n".join(hom_witness_lines(certification.backward)) + "\n"
-        )
+        write_json([rep.to_json_dict()], f"{args.out}.json")
+        write_lines(hom_witness_lines(certification.forward), f"{args.out}.forward.txt")
+        write_lines(hom_witness_lines(certification.backward), f"{args.out}.backward.txt")
     if args.fmt == "json":
-        print(reports_json([rep]))
+        write_json([rep.to_json_dict()], None)
     else:
         print(f"certified chi = {certification.chi_certificate.k} "
               f"({certification.n_matchings} r-matchings, "
               f"{certification.pairs_checked} pairs checked)")
         print(reports_table([rep]))
-    return EXIT_UNKNOWN if rep.verdict == "UNKNOWN" else EXIT_OK
+    return EXIT_UNKNOWN if rep.verdict == UNKNOWN else EXIT_OK
 
 
 def _run_verify(args: argparse.Namespace) -> int:
     names = list(TARGETS) if "all" in args.targets else list(dict.fromkeys(args.targets))
     results = [run_target(name, Deadline(args.timeout)) for name in names]
     if args.fmt == "json":
-        print(
-            json_text(
-                [
-                    {
-                        "target": r.target,
-                        "ok": r.ok,
-                        "unknown": r.unknown,
-                        "checks": [
-                            {"name": c.name, "ok": c.ok, "detail": c.detail} for c in r.checks
-                        ],
-                    }
-                    for r in results
-                ]
-            )
+        write_json(
+            [
+                {
+                    "target": r.target,
+                    "ok": r.ok,
+                    "unknown": r.unknown,
+                    "checks": [
+                        {"name": c.name, "ok": c.ok, "detail": c.detail} for c in r.checks
+                    ],
+                }
+                for r in results
+            ],
+            None,
         )
     else:
         for r in results:

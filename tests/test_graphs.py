@@ -33,7 +33,7 @@ from matchkneser import (
     remove_edges,
     write_edgelist,
 )
-from matchkneser.graphs import decode_matching, edgelist_lines, matching_blocks, parse_edgelist
+from matchkneser.graphs import decode_matching, edgelist_pieces, matching_blocks, parse_edgelist
 from matchkneser.families import gap_graph, gap_tree, FamilyParams, matching_graph
 from matchkneser.kneser import capped_matchings
 
@@ -200,22 +200,31 @@ def test_mask_built_graph_is_written_from_its_rows(tmp_path, roles):
     H = _from_masks(G)
     write_edgelist(H, tmp_path / "h.edges")
     assert "edges" not in vars(H)
-    assert (tmp_path / "h.edges").read_text() == "\n".join(edgelist_lines(G)) + "\n"
+    assert (tmp_path / "h.edges").read_text() == "\n".join(edgelist_pieces(G)) + "\n"
     assert read_edgelist(tmp_path / "h.edges") == make_graph(4, G.edges)
 
 
 @pytest.mark.parametrize("G", [make_graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)]), make_graph(3, []), petersen()])
 def test_edge_built_graph_is_written_from_its_rows(tmp_path, G):
     write_edgelist(G, tmp_path / "g.edges")
-    assert (tmp_path / "g.edges").read_text() == "\n".join(edgelist_lines(G)) + "\n"
+    assert (tmp_path / "g.edges").read_text() == "\n".join(edgelist_pieces(G)) + "\n"
     assert read_edgelist(tmp_path / "g.edges") == G
+
+
+@pytest.mark.parametrize("G", [matching_graph(2100), gap_tree(8, 2)])
+def test_an_edge_list_of_several_pieces_is_written_line_for_line(tmp_path, G):
+    assert G.m > 2048  # more than two pieces of held edges
+    write_edgelist(G, tmp_path / "g.edges")
+    header = [f"# {v} {lab}" for v, lab in enumerate(G.roles or ()) if lab]
+    lines = (["# roles:", *header] if header else []) + [f"{G.n} {G.m}"] + [f"{u} {v}" for u, v in G.edges]
+    assert (tmp_path / "g.edges").read_text() == "\n".join(lines) + "\n"
 
 
 def test_edge_built_graph_is_written_without_building_its_masks(tmp_path):
     G = gap_tree(4, 2)
     write_edgelist(G, tmp_path / "t.edges")
     assert "adj_masks" not in vars(G)
-    assert (tmp_path / "t.edges").read_text() == "\n".join(edgelist_lines(G)) + "\n"
+    assert (tmp_path / "t.edges").read_text() == "\n".join(edgelist_pieces(G)) + "\n"
 
 
 def test_connectivity():
@@ -471,7 +480,7 @@ def test_make_matching_rejects_bad_input():
 
 
 def test_edgelist_round_trip():
-    text = "\n".join(edgelist_lines(petersen()))
+    text = "\n".join(edgelist_pieces(petersen()))
     assert parse_edgelist(text) == petersen()
     commented = "# a comment\n" + text + "\n# trailing\n"
     assert parse_edgelist(commented) == petersen()
@@ -487,7 +496,7 @@ def test_edgelist_roles_block(tmp_path):
     assert back.n == G.n and back.edges == G.edges and back.roles is None
 
 
-def test_edgelist_errors():
+def test_edgelist_errors(tmp_path):
     with pytest.raises(GraphConstructionError):
         parse_edgelist("")
     with pytest.raises(GraphConstructionError):
@@ -496,3 +505,10 @@ def test_edgelist_errors():
         parse_edgelist("3 1\n0 1 2\n")
     with pytest.raises(GraphConstructionError):
         parse_edgelist("3 one\n")
+    # an edge read twice, here in both orientations, would leave the header's m unmet
+    with pytest.raises(GraphConstructionError, match="edge line '1 0' repeats the edge of line '0 1'"):
+        parse_edgelist("3 2\n0 1\n1 0\n")
+    path = tmp_path / "utf16.edges"
+    path.write_bytes(b"\xff\xfe3\x00 \x001\x00")
+    with pytest.raises(GraphConstructionError, match="not UTF-8"):
+        read_edgelist(path)

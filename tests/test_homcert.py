@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -32,6 +33,7 @@ from matchkneser import (
 )
 from matchkneser import homcert
 from matchkneser.coloring import check_coloring
+from matchkneser.graphs import write_lines
 from matchkneser.homcert import (
     CERTIFY_MATCHING_CAP,
     check_color_classes,
@@ -318,12 +320,32 @@ def test_certify_checks_the_enumeration_against_the_closed_form(monkeypatch):
 
 def test_witness_serialization():
     certification = certify_family(P311)
-    lines = hom_witness_lines(certification.forward)
+    lines = list(hom_witness_lines(certification.forward))
     assert lines[0] == "0 -> 0 # (0,9) (1,10) (2,11) | {1,2}"
     assert len(lines) == certification.n_matchings
-    back_lines = hom_witness_lines(certification.backward)
+    back_lines = list(hom_witness_lines(certification.backward))
     assert back_lines[0].startswith("0 -> ")
     assert "{1,2}" in back_lines[0]
+
+
+def test_witness_file_is_written_line_by_line(tmp_path):
+    # 8,105 lines, about 400 KB of text: holding them all at once would pass the bound.
+    certification = certify_family(FamilyParams(4, 3, 1))
+    assert certification.n_matchings == 8105
+    path = tmp_path / "forward.txt"
+    # CPython keeps up to 2,000 freed tuples of each size for reuse, and
+    # tracemalloc counts them as held; a first write fills that cache, so
+    # the second one measures what the write path itself holds.
+    write_lines(hom_witness_lines(certification.forward), path)
+    tracemalloc.start()
+    try:
+        write_lines(hom_witness_lines(certification.forward), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 1024
+    text = path.read_text()
+    assert text.count("\n") == 8105 and text.startswith("0 -> 0 # ")
 
 
 def test_matching_witnesses_decode_on_read_and_hash_on_masks(monkeypatch):

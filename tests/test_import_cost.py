@@ -31,7 +31,7 @@ def modules_loaded_by(module, candidates):
     "module, absent",
     [
         ("matchkneser", ("dataclasses", "inspect", "ast", "dis", "json")),
-        ("matchkneser.cli", ("dataclasses", "inspect")),
+        ("matchkneser.cli", ("dataclasses", "inspect", "json")),
     ],
 )
 def test_import_skips_heavy_modules(module, absent):

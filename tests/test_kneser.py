@@ -23,7 +23,7 @@ from matchkneser import (
 )
 from matchkneser import kneser
 from matchkneser.coloring import DEFAULT_TIME_BUDGET, chromatic_number
-from matchkneser.graphs import edgelist_lines, matching_blocks
+from matchkneser.graphs import edgelist_pieces, matching_blocks
 from matchkneser.kneser import matchings_sidecar_lines, write_kneser_files
 from matchkneser.verify import THEOREM2_GRID
 
@@ -147,7 +147,7 @@ def test_cap_is_enforced_and_named():
 
 def test_sidecar_format():
     mkg = build_matching_kneser(matching_graph(3), 2)
-    lines = matchings_sidecar_lines(mkg)
+    lines = list(matchings_sidecar_lines(mkg))
     assert lines[0] == "0: (0,1) (2,3)"
     assert len(lines) == mkg.graph.n
 
@@ -250,5 +250,5 @@ def test_kneser_edges_file_is_written_from_the_rows(tmp_path):
     assert mkg.host.roles is not None and mkg.graph.roles is None
     graph_path, _ = write_kneser_files(mkg, tmp_path / "mkg")
     assert "edges" not in vars(mkg.graph)
-    expected = "\n".join(edgelist_lines(make_graph(mkg.graph.n, mkg.graph.edges))) + "\n"
+    expected = "\n".join(edgelist_pieces(make_graph(mkg.graph.n, mkg.graph.edges))) + "\n"
     assert graph_path.read_bytes() == expected.encode()
