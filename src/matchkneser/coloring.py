@@ -7,23 +7,31 @@ ties by lowest index. It runs on the graph's neighbor bitmasks
 the iterative deepening, the greedy clique and the coloring check) and keeps
 its state as bitsets too, in the manner of San Segundo (Computers & OR
 2012): ``level[s]`` holds the uncolored vertices of saturation s and
-``seen[c]`` the vertices with a neighbor colored c. The branch vertex is
-the lowest bit of the highest non-empty level, and coloring a vertex moves
-its neighbors that had not seen the color up one level, so a search node
-costs O(k) mask operations instead of a scan of all n vertices. Color
-symmetry is broken by only ever trying the colors used so far plus one
-fresh color. A vertex in ``level[k-1]`` has one color f left, the one with
-no bit in ``seen[f]``; when a coloring moves some vertex into that level,
-the search tests, for each f, whether the lowest vertex left only f has a
-neighbor left only f. If so, no k-coloring completes the node, and it is a
-dead end, like a vertex in ``level[k]``. The cut removes only subtrees that
-hold no coloring and leaves the order of the other nodes as it was, so the
-first coloring found and every proven "no" are those of the search without
-it; only the node count drops (26,798 to 13,650 when refuting 7 colors on
-K(10,2)). The search is one loop over an explicit trail, one entry per
-colored vertex: it never recurses and changes no process-wide state. A
-timeout raises :class:`SearchTimeout` so that an "unknown" can never
-masquerade as a proven "no".
+``seen[c]`` the uncolored vertices with a neighbor colored c. The next
+vertex is the lowest bit of the highest non-empty level, and coloring a
+vertex moves its neighbors that had not seen the color up one level, top
+level first, stopping once all of them have moved. Color symmetry is broken
+by only ever trying the colors used so far plus one fresh color.
+
+A vertex in the top level, k - 1, has one color left, the f with no bit in
+``seen[f]``. Such a forced vertex is colored inside the node whose coloring
+forced it: one after another, lowest first, until the top level is empty or
+a dead end shows. Only a vertex picked below the top level is a branch and
+gets a trail entry: its index, the colors in use before it, and the
+uncolored set, levels and seen sets as they were, so changing its color
+restores them with two list assignments. Forced vertices are never retried,
+since their one color has no alternative. A coloring is a dead end when it
+takes a top-level vertex's last color, or when it moves some vertex into the
+top level and, for some f, the lowest vertex left only f has a neighbor left
+only f. The cut removes only subtrees that hold no coloring and leaves the
+order of the other colorings as it was, so the first coloring found and
+every proven "no" are those of the search without it. Refuting 7 colors on
+K(10,2) takes 13,649 colorings, 3,592 of them branches; with one node per
+colored vertex and no cut it took 26,798 nodes. The search is one loop over
+the trail: it never recurses and changes no process-wide state. It checks
+its deadline once every ``_DEADLINE_STRIDE`` colorings, forced or not, and
+a timeout raises :class:`SearchTimeout` naming how many colorings it made,
+so that an "unknown" can never masquerade as a proven "no".
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from .errors import (
 )
 from .graphs import LabeledGraph
 
-_DEADLINE_STRIDE = 1024  # search nodes between deadline checks
+_DEADLINE_STRIDE = 1024  # colorings between deadline checks
 
 
 class EmptyWitness(Record):
@@ -130,82 +138,116 @@ def greedy_clique(H: LabeledGraph) -> tuple[int, ...]:
 
 
 def _search_k_coloring(n: int, adj: tuple[int, ...], k: int, deadline: Deadline) -> list[int] | None:
-    """Backtracking k-colorability core; None means proven uncolorable."""
+    """Backtracking k-colorability core for k >= 1; None means proven uncolorable."""
 
     color = [-1] * n
     # level[s]: the uncolored vertices with s distinct colors among their
-    # neighbors; seen[c]: the vertices with a neighbor colored c.
-    level = [0] * (k + 1)
-    level[0] = (1 << n) - 1
+    # neighbors; seen[c]: the uncolored vertices with a neighbor colored c;
+    # free: every uncolored vertex.
+    level = [0] * k
+    level[0] = free = (1 << n) - 1
     seen = [0] * k
-    # One entry per colored vertex: its bit, its level, the colors in use
-    # before it and the neighbors its color moved up a level.
-    trail: list[tuple[int, int, int, int]] = []
-    nodes = used = 0
-    dead = False  # the last coloring left two neighbors the same last color
+    top = k - 1  # the level of the vertices with one color left
+    # One entry per branch vertex: its index, the colors in use before it,
+    # and the uncolored set, levels and seen sets to restore when its color
+    # changes.
+    trail: list[tuple[int, int, int, list[int], list[int]]] = []
+    stride = _DEADLINE_STRIDE
+    colorings = used = 0
+    check_at = stride
+    dead = False  # the last coloring left some vertex no color
     while True:
-        nodes += 1
-        if nodes % _DEADLINE_STRIDE == 0:
-            deadline.check("k-coloring search")
-        if len(trail) == n:
-            return color
-        # No vertex sees more colors than are in use.
-        s = used if used < k else k
-        while not level[s]:
-            s -= 1
-        if s < k and not dead:
-            pick = level[s] & -level[s]
-            level[s] ^= pick
-            c = 0
-        else:
-            pick, c = 0, k  # a dead end: nothing to try, go straight to undo
-        while True:
-            # The lowest color from c on that the vertex has not seen, among
-            # the colors in use and one fresh color.
-            end = used + 1 if used < k else k
-            while c < end and seen[c] & pick:
-                c += 1
-            if c < end:
-                break
-            level[s] |= pick
-            if not trail:
+        if dead:
+            # Give the last branch vertex its next color, among the colors in
+            # use and one fresh color; forced vertices are never retried.
+            while trail:
+                v, used, free, saved_level, saved_seen = trail[-1]
+                bit = 1 << v
+                c = color[v] + 1
+                end = used + 1 if used < k else k
+                while c < end and saved_seen[c] & bit:
+                    c += 1
+                if c < end:
+                    break
+                trail.pop()
+            else:
                 return None
-            pick, s, used, new = trail.pop()
-            c = color[pick.bit_length() - 1]
-            for t in range(used + 1 if used < k else k):
-                moved = level[t + 1] & new
-                if moved:
-                    level[t + 1] ^= moved
-                    level[t] |= moved
-            seen[c] ^= new
-            c += 1
-        v = pick.bit_length() - 1
+            level[:] = saved_level
+            seen[:] = saved_seen
+            dead = False
+        else:
+            # A vertex with one color left is colored inside the node that
+            # forced it; only below the top level does the search branch.
+            last = level[top]
+            if last:
+                bit = last & -last
+                level[top] = last ^ bit
+            elif free:
+                # No vertex sees more colors than are in use.
+                s = used if used < top else top - 1
+                while not level[s]:
+                    s -= 1
+                bit = level[s] & -level[s]
+                level[s] ^= bit
+            else:
+                return color
+            free ^= bit
+            v = bit.bit_length() - 1
+            # The lowest color the vertex has not seen: its last one, or for
+            # a branch the lowest of the colors in use and one fresh color.
+            c = 0
+            while seen[c] & bit:
+                c += 1
+            if not last:
+                trail.append((v, used, free, level.copy(), seen.copy()))
         color[v] = c
-        new = adj[v] & ~seen[c]
+        colorings += 1
+        if colorings == check_at:
+            check_at += stride
+            try:
+                deadline.check("k-coloring search")
+            except SearchTimeout as exc:
+                raise SearchTimeout(f"{exc} after {colorings} colorings") from exc
+        if c == used:
+            used += 1
+        # The uncolored neighbors that had not seen c go up one level, top
+        # level first, until every one has moved. One in the top level has
+        # lost its last color: a dead end.
+        new = adj[v] & free & ~seen[c]
+        if not new:
+            # Nothing moves; returning here also keeps seen[c] the same int
+            # the trail entries hold, where seen[c] |= 0 would copy it.
+            continue
+        if level[top] & new:
+            dead = True
+            continue
         seen[c] |= new
-        # Neighbors that had not seen c go up one level, top level first.
-        for t in range(used if used < k else k - 1, -1, -1):
-            moved = level[t] & new
+        t = top - 1
+        rest = new
+        while True:
+            moved = level[t] & rest
             if moved:
                 level[t] ^= moved
                 level[t + 1] |= moved
-        trail.append((pick, s, used, new))
-        if c == used:
-            used += 1
-        # A vertex in level k - 1 has one color left, the f with no bit in
-        # seen[f]. If the lowest vertex left only f has a neighbor left only
-        # f, no k-coloring completes this node: a dead end, like a vertex in
-        # level k. A class gains vertices only when a coloring moves some
-        # up into level k - 1, so a search that never backtracks pays one
-        # AND per node.
-        last = level[k - 1]
-        dead = False
-        if last & new:
-            for f in range(k):
-                forced = last & ~seen[f]
-                if forced and adj[(forced & -forced).bit_length() - 1] & forced:
-                    dead = True
+                rest ^= moved
+                if not rest:
                     break
+            t -= 1
+        # A vertex in the top level has one color left, the f with no bit in
+        # seen[f]. If the lowest vertex left only f has a neighbor left only
+        # f, no k-coloring completes this node either. A class gains vertices
+        # only when a coloring moves some up into the top level.
+        last = level[top]
+        if last & new:
+            for mask in seen:
+                forced = last & ~mask
+                if forced:
+                    if adj[(forced & -forced).bit_length() - 1] & forced:
+                        dead = True
+                        break
+                    last ^= forced
+                    if not last:
+                        break
 
 
 def is_k_colorable(
@@ -224,7 +266,9 @@ def is_k_colorable(
         raise ParameterError("color count k must be non-negative")
     deadline = ensure_deadline(deadline, time_budget)
     deadline.check("k-coloring search")
-    if H.m == 0 and k:
+    if not k:
+        return None if H.n else ()
+    if H.m == 0:
         return (0,) * H.n
     result = _search_k_coloring(H.n, H.adj_masks, k, deadline)
     return tuple(result) if result is not None else None
@@ -241,7 +285,8 @@ def chromatic_number(
     success is chi. The lower bound is witnessed by the clique when its size
     matches, otherwise by exhaustion of the (chi-1)-coloring search. A
     timeout raises :class:`SearchTimeout` naming how far the search got: the
-    k under search, the proven bound chi >= k and the clique size.
+    k under search and how many colorings it made, the proven bound
+    chi >= k and the clique size.
     """
 
     deadline = ensure_deadline(deadline, time_budget)

@@ -31,7 +31,7 @@ from functools import cached_property, partial
 from itertools import accumulate, chain, count, islice, repeat
 from operator import add, or_
 from pathlib import Path
-from typing import ContextManager, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, ContextManager, Iterable, Iterator, Sequence, TextIO
 
 from .errors import Deadline, GraphConstructionError, ParameterError, ensure_deadline, refuse_write
 
@@ -425,10 +425,31 @@ def decode_matching(edges: tuple[Edge, ...], mask: int) -> Matching:
     return tuple(map(edges.__getitem__, _bit_positions(mask, 0)))
 
 
+def edge_text(edge: Edge) -> str:
+    """An edge as the text ``(u,v)``, the form every matching text is made of."""
+
+    return "(%d,%d)" % edge
+
+
 def matching_text(edges: Iterable[Edge]) -> str:
     """A matching, or any edge set, as the text ``(u,v) (u,v) ...``, its edges in the order given."""
 
-    return " ".join(f"({u},{v})" for u, v in edges)
+    return " ".join(map(edge_text, edges))
+
+
+def mask_text(edges: Sequence[Edge]) -> Callable[[int], str]:
+    """``mask -> matching_text(decode_matching(edges, mask))``, each edge's text made once.
+
+    The edge texts are made here, one per edge of ``edges``; a mask's text
+    then joins the entries at its bit positions and decodes no edge.
+    """
+
+    table = tuple(map(edge_text, edges)).__getitem__
+
+    def text(mask: int) -> str:
+        return " ".join(map(table, _bit_positions(mask, 0)))
+
+    return text
 
 
 class MatchingView(Sequence[Matching]):

@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterator, Sequence
 from .coloring import ChiCertificate, chromatic_number, lovasz_chi
 from .errors import Deadline, KneserSizeError, ParameterError, Record, VerificationError, ensure_deadline
 from .families import FamilyParams, gap_graph
-from .graphs import Edge, LabeledGraph, Matching, MatchingView, decode_matching, matching_text
+from .graphs import Edge, LabeledGraph, Matching, MatchingView, decode_matching, mask_text
 from .kneser import capped_matchings, kneser_graph, r_subsets
 
 # Unused here, but kept bound: perfbench/spans.py wraps this attribute of this module.
@@ -159,17 +159,21 @@ def verify_homomorphism(witness: HomWitness, source: LabeledGraph, target: Label
 def hom_witness_lines(witness: HomWitness) -> Iterator[str]:
     """Serialization: one line per source vertex, ``i -> j # src_desc | tgt_desc``, made as it is read.
 
-    A description is a matching's :func:`~matchkneser.graphs.matching_text`
-    or a subset's ``{a,b,...}``; a matching is decoded for its line only.
+    A description is a matching's :func:`~matchkneser.graphs.matching_text`,
+    joined from a table of its host's edge texts without decoding it, or a
+    subset's ``{a,b,...}``, made once per subset.
     """
 
-    def describe(obj: Any) -> str:
-        if obj and isinstance(obj[0], tuple):  # a matching
-            return matching_text(obj)
-        return "{" + ",".join(str(x) for x in obj) + "}"
-
+    source, target = _describer(witness.source_desc), _describer(witness.target_desc)
     for i, j in enumerate(witness.mapping):
-        yield f"{i} -> {j} # {describe(witness.source_desc[i])} | {describe(witness.target_desc[j])}"
+        yield f"{i} -> {j} # {source(i)} | {target(j)}"
+
+
+def _describer(desc: Sequence[Any]) -> Callable[[int], str]:
+    if isinstance(desc, MatchingView):
+        text, masks = mask_text(desc.edges), desc.masks
+        return lambda i: text(masks[i])
+    return tuple("{" + ",".join(map(str, subset)) + "}" for subset in desc).__getitem__
 
 
 def check_color_classes(

@@ -15,8 +15,8 @@ from typing import Iterator
 
 from .errors import Deadline, KneserSizeError, ParameterError, Record, ensure_deadline
 from .families import matching_graph
-from .graphs import LabeledGraph, Matching, MatchingView, _bit_positions, decode_matching, matching_blocks
-from .graphs import matching_text, write_edgelist, write_lines
+from .graphs import LabeledGraph, Matching, _bit_positions, decode_matching, mask_text, matching_blocks
+from .graphs import write_edgelist, write_lines
 
 # Unused here, but kept bound: perfbench/spans.py wraps these attributes of this module.
 from .graphs import iter_matchings, make_graph  # noqa: F401
@@ -167,14 +167,15 @@ def kneser_graph(l: int, r: int) -> LabeledGraph:
 
 
 def matchings_sidecar_lines(mkg: MatchingKneserGraph) -> Iterator[str]:
-    """One line per vertex, ``i: (u,v) (u,v) ...``, its matching decoded as the line is made.
+    """One line per vertex, ``i: (u,v) (u,v) ...``, made from its mask as the line is made.
 
-    The masks are read through a :class:`~matchkneser.graphs.MatchingView`,
-    so ``mkg.matchings`` is not filled.
+    The text comes from a table of the host's edge texts
+    (:func:`~matchkneser.graphs.mask_text`), so no matching is decoded and
+    ``mkg.matchings`` is not filled.
     """
 
-    view = MatchingView(mkg.host.edges, mkg.masks)
-    return (f"{i}: {matching_text(matching)}" for i, matching in enumerate(view))
+    texts = map(mask_text(mkg.host.edges), mkg.masks)
+    return (f"{i}: {text}" for i, text in enumerate(texts))
 
 
 def write_kneser_files(mkg: MatchingKneserGraph, base: str | Path) -> tuple[Path, Path]:

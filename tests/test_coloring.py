@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -181,40 +182,70 @@ def test_search_leaves_the_recursion_limit_alone():
 
 
 @pytest.mark.parametrize(
-    "name, k, nodes",
+    "name, k, colorings",
     [
-        ("K(10,2)", 7, 13650),  # 26,798 without the forced-color cut
-        ("K(9,3)", 4, 1435),  # 2,117 without it
-        ("gap(3,5,1)", 4, 1982),  # 4,376 without it
+        # 3,592 of the colorings branch; the search with a node per colored
+        # vertex made 13,650 nodes, and 26,798 without the forced-color cut.
+        ("K(10,2)", 7, 13649),
+        ("K(9,3)", 4, 1434),  # 273 branch; 1,435 nodes, 2,117 without the cut
+        ("gap(3,5,1)", 4, 1981),  # 585 branch; 1,982 nodes, 4,376 without the cut
     ],
 )
-def test_refutation_node_counts(monkeypatch, name, k, nodes):
-    # With a stride of 1 the search checks its deadline once per node, after
-    # the one check is_k_colorable makes before it starts.
+def test_refutation_node_counts(monkeypatch, name, k, colorings):
+    # With a stride of 1 the search checks its deadline once per coloring,
+    # after the one check is_k_colorable makes before it starts.
     monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 1)
     deadline = _TripOnCheck(trips=float("inf"))
     assert is_k_colorable(_search_graph(name), k, deadline=deadline) is None
-    assert deadline.checks == 1 + nodes
+    assert deadline.checks == 1 + colorings
     if name == "K(9,3)":
         # test_search_leaves_the_recursion_limit_alone needs this search to
-        # reach its second deadline check, at node 1,024.
-        assert nodes >= 1024
+        # reach its second deadline check, at coloring 1,024.
+        assert colorings >= 1024
+
+
+def test_a_forced_chain_checks_its_deadline():
+    # At k = 2 vertex 0 of a path is the only branch: each later vertex has
+    # one color left once its predecessor is colored. The deadline still
+    # trips at coloring 1,024, inside that chain.
+    path = make_graph(5000, [(i, i + 1) for i in range(4999)])
+    deadline = _TripOnCheck(trips=2)
+    with pytest.raises(SearchTimeout) as info:
+        is_k_colorable(path, 2, deadline=deadline)
+    assert deadline.checks == 2
+    assert str(info.value) == "k-coloring search after 1024 colorings"
+
+
+def test_search_memory_stays_small():
+    # The trail holds one entry per branch, not one per colored vertex. On
+    # this 8,105-vertex graph the search with an entry per colored vertex
+    # peaked at 9.1 MB.
+    H = _search_graph("gap(4,3,1)")
+    assert H.n == 8105
+    tracemalloc.start()
+    try:
+        assert is_k_colorable(H, 3) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9_100_000
 
 
 def test_chromatic_number_timeout_says_how_far_it_got():
     # K(9,3) has chi = 5 and a greedy clique of 3. The 3-coloring search is
-    # refuted within its first 1,024 nodes; the deadline then trips inside
-    # the 4-coloring search, at its node 1,024.
+    # refuted within its first 1,024 colorings; the deadline then trips
+    # inside the 4-coloring search, at its coloring 1,024.
     with pytest.raises(SearchTimeout) as info:
         chromatic_number(kneser_graph(9, 3), deadline=_TripOnCheck(trips=3))
     assert str(info.value) == (
-        "k-coloring search while searching for a 4-coloring; chi >= 4 is proven (greedy clique of 3)"
+        "k-coloring search after 1024 colorings while searching for a 4-coloring;"
+        " chi >= 4 is proven (greedy clique of 3)"
     )
     assert isinstance(info.value.__cause__, SearchTimeout)
 
 
 def test_deep_searches_never_touch_the_recursion_limit(monkeypatch):
-    # The search goes one trail entry per vertex, never one Python frame.
+    # The search goes one trail entry per branch, never one Python frame.
     # The calls are recorded, not refused, since pytest itself reads the
     # limit when it reports a failure.
     path = make_graph(5000, [(i, i + 1) for i in range(4999)])
