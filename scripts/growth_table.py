@@ -13,7 +13,7 @@ import argparse
 
 from matchkneser import sequence_report
 from matchkneser.cli import exit_on_predictions, int_at_least, parse_seconds
-from matchkneser.report import reports_json, reports_table
+from matchkneser.report import reports_table, write_json
 
 
 def main() -> None:
@@ -25,7 +25,10 @@ def main() -> None:
     args = ap.parse_args()
 
     reports = sequence_report(args.theta, args.r, time_budget=args.timeout)
-    print(reports_json(reports) if args.format == "json" else reports_table(reports))
+    if args.format == "json":
+        write_json([rep.to_json_dict() for rep in reports], None)
+    else:
+        print(reports_table(reports))
     exit_on_predictions(reports)
 
 

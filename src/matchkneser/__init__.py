@@ -9,7 +9,6 @@ scale.
 from .coloring import (
     ChiCertificate,
     chromatic_number,
-    dimacs_lines,
     greedy_clique,
     is_k_colorable,
     lovasz_chi,
@@ -27,17 +26,13 @@ from .graphs import (
     Edge,
     LabeledGraph,
     Matching,
-    bipartition,
     enumerate_matchings,
     first_matching,
     has_r_matching,
-    is_bipartite,
     is_connected,
     is_tree,
     make_graph,
-    make_matching,
     matching_number,
-    maximum_matching,
     radius,
     read_edgelist,
     remove_edges,
@@ -47,14 +42,12 @@ from .homcert import (
     FamilyCertification,
     HomWitness,
     backward_map,
-    certified_chi,
     certify_family,
     colex_rank,
     forward_map,
-    verify_homomorphism,
 )
 from .kneser import MatchingKneserGraph, build_matching_kneser, kneser_graph, r_subsets
-from .report import GapReport, gap_report, reports_json, reports_table, sequence_report
+from .report import GapReport, gap_report, reports_table, sequence_report
 from .turan import DeletionCertificate, generalized_turan, min_deletion_set
 
 __version__ = "0.1.0"
@@ -77,13 +70,10 @@ __all__ = [
     "SearchTimeout",
     "VerificationError",
     "backward_map",
-    "bipartition",
     "build_matching_kneser",
-    "certified_chi",
     "certify_family",
     "chromatic_number",
     "colex_rank",
-    "dimacs_lines",
     "enumerate_matchings",
     "first_matching",
     "forward_map",
@@ -93,26 +83,21 @@ __all__ = [
     "generalized_turan",
     "greedy_clique",
     "has_r_matching",
-    "is_bipartite",
     "is_connected",
     "is_k_colorable",
     "is_tree",
     "kneser_graph",
     "lovasz_chi",
     "make_graph",
-    "make_matching",
     "matching_graph",
     "matching_number",
-    "maximum_matching",
     "min_deletion_set",
     "petersen",
     "r_subsets",
     "radius",
     "read_edgelist",
     "remove_edges",
-    "reports_json",
     "reports_table",
     "sequence_report",
-    "verify_homomorphism",
     "write_edgelist",
 ]

@@ -322,11 +322,3 @@ def lovasz_chi(l: int, r: int) -> int:
     if l < 2 * r - 1:
         raise ParameterError(f"closed form requires l >= 2r - 1, got l={l}, r={r}")
     return l - 2 * r + 2
-
-
-def dimacs_lines(H: LabeledGraph) -> list[str]:
-    """DIMACS coloring-instance export: ``p edge n m`` then 1-based ``e u v`` lines."""
-
-    lines = [f"p edge {H.n} {H.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in H.edges)
-    return lines

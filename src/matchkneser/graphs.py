@@ -10,8 +10,8 @@ all operations are pure functions of their inputs, except
 ``repair_matching``, which updates a caller-owned mate array in place for
 incremental searches over one mutable adjacency and logs each entry it
 overwrites, so that the caller can undo it. The traversals keep state only
-for the vertices they reach: one breadth-first search serves connectivity,
-bipartition and eccentricity, and the augmenting-path search allocates
+for the vertices they reach: one breadth-first search serves connectivity
+and eccentricity, and the augmenting-path search allocates
 nothing of size n, so a search near a few vertices of a large host costs
 what it touches. An enumerated matching is stored only as its edge-index
 bitmask (bit i for ``G.edges[i]``), one int of 28 to 60 bytes on hosts of
@@ -137,11 +137,6 @@ class LabeledGraph:
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
 
-    def role_of(self, v: int) -> str:
-        if self.roles is None:
-            return ""
-        return self.roles[v]
-
 
 def _bit_positions(x: int, offset: int) -> Iterator[int]:
     """``offset + j`` for each set bit j of ``x``, in increasing order.
@@ -248,29 +243,6 @@ def is_connected(G: LabeledGraph) -> bool:
     return len(dist) == G.n
 
 
-def bipartition(G: LabeledGraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """A two-coloring of the vertices as two sorted sides, or None if an odd cycle exists.
-
-    Each component's least vertex is on the first side, and every other
-    vertex on the side its distance from it selects.
-    """
-
-    dist: dict[int, int] = {}
-    for start in range(G.n):
-        if start not in dist:
-            _bfs(G.adj, start, dist)
-    side = [dist[v] & 1 for v in range(G.n)]
-    if any(side[u] == side[v] for u, v in G.edges):
-        return None
-    left = tuple(v for v in range(G.n) if not side[v])
-    right = tuple(v for v in range(G.n) if side[v])
-    return left, right
-
-
-def is_bipartite(G: LabeledGraph) -> bool:
-    return bipartition(G) is not None
-
-
 def is_tree(G: LabeledGraph) -> bool:
     return is_connected(G) and G.m == G.n - 1
 
@@ -301,21 +273,6 @@ def radius(G: LabeledGraph) -> int:
 # ---------------------------------------------------------------------------
 # Matchings
 # ---------------------------------------------------------------------------
-
-def make_matching(G: LabeledGraph, edges: Iterable[tuple[int, int]]) -> Matching:
-    """Canonicalize ``edges`` into a matching of ``G``; validates membership and disjointness."""
-
-    canon = sorted((u, v) if u < v else (v, u) for u, v in edges)
-    used: set[int] = set()
-    for u, v in canon:
-        if not G.has_edge(u, v):
-            raise GraphConstructionError(f"edge ({u}, {v}) does not belong to the host graph")
-        if u in used or v in used:
-            raise GraphConstructionError(f"edges are not pairwise vertex-disjoint at ({u}, {v})")
-        used.add(u)
-        used.add(v)
-    return tuple(canon)
-
 
 def matching_blocks(G: LabeledGraph, r: int, deadline: Deadline | None = None) -> Iterator[list[int]]:
     """Every r-matching of G as an edge-index bitmask, in lexicographic order.
@@ -592,7 +549,8 @@ def maximum_mates(G: LabeledGraph) -> list[int]:
             mate[v] = u
     adj = G.adj
     for v in range(G.n):
-        if mate[v] == -1:
+        # No search can leave a vertex with no neighbors.
+        if mate[v] == -1 and adj[v]:
             _find_augmenting_path(adj, mate, v, [])
     return mate
 
@@ -621,17 +579,10 @@ def repair_matching(adj, mate: list[int], u: int, v: int, log: list[tuple[int, i
     return 1
 
 
-def maximum_matching(G: LabeledGraph) -> Matching:
-    """A maximum matching of G (canonical form), exact on non-bipartite graphs."""
-
-    mate = maximum_mates(G)
-    return tuple(sorted((v, mate[v]) for v in range(G.n) if mate[v] > v))
-
-
 def matching_number(G: LabeledGraph) -> int:
     """The exact matching number (maximum matching size) of G."""
 
-    return len(maximum_matching(G))
+    return (G.n - maximum_mates(G).count(-1)) // 2
 
 
 def has_r_matching(G: LabeledGraph, r: int) -> bool:

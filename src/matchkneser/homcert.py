@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterator, Sequence
 from .coloring import ChiCertificate, chromatic_number, lovasz_chi
 from .errors import Deadline, KneserSizeError, ParameterError, Record, VerificationError, ensure_deadline
 from .families import FamilyParams, gap_graph
-from .graphs import Edge, LabeledGraph, Matching, MatchingView, decode_matching, mask_text
+from .graphs import Edge, Matching, MatchingView, decode_matching, mask_text
 from .kneser import capped_matchings, kneser_graph, r_subsets
 
 # Unused here, but kept bound: perfbench/spans.py wraps this attribute of this module.
@@ -134,26 +134,6 @@ def backward_map(subset: Sequence[int], params: FamilyParams) -> Matching:
     for j in range(1, p.t + 1):
         edges.append((p.w_vertex((rank - 1) * p.t + j), p.z_vertex(j)))
     return tuple(sorted(edges))
-
-
-def find_violation(witness: HomWitness, source: LabeledGraph, target: LabeledGraph) -> Edge | None:
-    """The first source edge whose endpoints do not map to a target edge, or None."""
-
-    if len(witness.mapping) != source.n:
-        raise ParameterError(
-            f"mapping covers {len(witness.mapping)} of {source.n} source vertices"
-        )
-    for u, v in source.edges:
-        a, b = witness.mapping[u], witness.mapping[v]
-        if a == b or not target.has_edge(a, b):
-            return (u, v)
-    return None
-
-
-def verify_homomorphism(witness: HomWitness, source: LabeledGraph, target: LabeledGraph) -> bool:
-    """True iff every source edge maps to a target edge (exhaustive check)."""
-
-    return find_violation(witness, source, target) is None
 
 
 def hom_witness_lines(witness: HomWitness) -> Iterator[str]:
@@ -376,9 +356,3 @@ def certify_family(
         kneser_certificate=small_cert,
         pairs_checked=n * (n - 1) // 2,
     )
-
-
-def certified_chi(params: FamilyParams, **kwargs: Any) -> ChiCertificate:
-    """The certified chromatic number theta for a family instance (see certify_family)."""
-
-    return certify_family(params, **kwargs).chi_certificate

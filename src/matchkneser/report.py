@@ -192,16 +192,8 @@ def sequence_report(
     return reports
 
 
-def json_text(payload: Any) -> str:
-    """``payload`` as indented JSON; ``json`` is imported on first use, not with the package."""
-
-    import json
-
-    return json.dumps(payload, indent=2)
-
-
 def write_json(payload: Any, path: str | Path | None) -> None:
-    """Write ``payload`` as :func:`json_text` does, and a newline, to ``path`` or, when it is None, stdout.
+    """Write ``payload`` as JSON indented by 2, and a newline, to ``path`` or, when it is None, stdout.
 
     The text is written as it is encoded and never held whole; ``sys.stdout``
     is read at call time, and ``json`` imported on first use.
@@ -212,10 +204,6 @@ def write_json(payload: Any, path: str | Path | None) -> None:
     with open_output(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def reports_json(reports: list[GapReport]) -> str:
-    return json_text([rep.to_json_dict() for rep in reports])
 
 
 def reports_table(reports: list[GapReport]) -> str:

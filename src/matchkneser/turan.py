@@ -82,7 +82,7 @@ def min_deletion_set(
         raise ParameterError("matching size r must be at least 1")
     deadline = ensure_deadline(deadline, time_budget)
     mate = maximum_mates(G)
-    nu = sum(1 for v, w in enumerate(mate) if w > v)
+    nu = (G.n - mate.count(-1)) // 2
     if nu < r:
         return DeletionCertificate(r=r, deleted=(), size=0, optimal=True)
 

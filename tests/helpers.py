@@ -1,11 +1,13 @@
 """Independent brute-force oracles and input strategies for the test suite.
 
 Nothing in here shares code with the solvers under test: matchings are found
-by filtering raw edge subsets, chromatic numbers by exhaustive color
-assignment, isomorphism by backtracking over vertex bijections. The one
-reference that is not brute force, ``reference_k_coloring``, is the
-k-coloring search as it stood before it moved to saturation-level bitsets,
-kept to pin the new search to the same branching order.
+by filtering raw edge subsets, and a matching or a homomorphism map is
+validated edge by edge against the host; chromatic numbers come from
+exhaustive color assignment, isomorphism from backtracking over vertex
+bijections. The one reference that is not brute force,
+``reference_k_coloring``, is the k-coloring search as it stood before it
+moved to saturation-level bitsets, kept to pin the new search to the same
+branching order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,18 @@ from math import comb, perm
 import networkx as nx
 from hypothesis import strategies as st
 
-from matchkneser import Deadline, FamilyParams, LabeledGraph, Matching, SearchTimeout, make_graph
+from matchkneser import (
+    Deadline,
+    Edge,
+    FamilyParams,
+    GraphConstructionError,
+    HomWitness,
+    LabeledGraph,
+    Matching,
+    ParameterError,
+    SearchTimeout,
+    make_graph,
+)
 
 
 # The prescribed-gap grid of scripts/gap_survey.py at its defaults (r = 3..5,
@@ -53,6 +66,39 @@ def brute_force_matchings(G: LabeledGraph, r: int) -> list[Matching]:
             if e[0] not in used and e[1] not in used
         ]
     return sorted(combo for combo, _, _ in grown)
+
+
+def make_matching(G: LabeledGraph, edges) -> Matching:
+    """Canonicalize ``edges`` into a matching of ``G``; validates membership and disjointness."""
+
+    canon = sorted((u, v) if u < v else (v, u) for u, v in edges)
+    used: set[int] = set()
+    for u, v in canon:
+        if not G.has_edge(u, v):
+            raise GraphConstructionError(f"edge ({u}, {v}) does not belong to the host graph")
+        if u in used or v in used:
+            raise GraphConstructionError(f"edges are not pairwise vertex-disjoint at ({u}, {v})")
+        used.add(u)
+        used.add(v)
+    return tuple(canon)
+
+
+def find_violation(witness: HomWitness, source: LabeledGraph, target: LabeledGraph) -> Edge | None:
+    """The first source edge whose endpoints do not map to a target edge, or None."""
+
+    if len(witness.mapping) != source.n:
+        raise ParameterError(f"mapping covers {len(witness.mapping)} of {source.n} source vertices")
+    for u, v in source.edges:
+        a, b = witness.mapping[u], witness.mapping[v]
+        if a == b or not target.has_edge(a, b):
+            return (u, v)
+    return None
+
+
+def verify_homomorphism(witness: HomWitness, source: LabeledGraph, target: LabeledGraph) -> bool:
+    """True iff every source edge maps to a target edge (exhaustive check)."""
+
+    return find_violation(witness, source, target) is None
 
 
 def gap_matching_count(params: FamilyParams) -> int:

@@ -16,7 +16,6 @@ from matchkneser import (
     VerificationError,
     build_matching_kneser,
     chromatic_number,
-    dimacs_lines,
     gap_graph,
     greedy_clique,
     is_k_colorable,
@@ -139,10 +138,6 @@ def test_timeout_is_distinguished_from_no():
         is_k_colorable(petersen(), 3, time_budget=-1.0)
     with pytest.raises(SearchTimeout):
         chromatic_number(petersen(), deadline=Deadline(-1.0))
-
-
-def test_dimacs_export():
-    assert dimacs_lines(K3) == ["p edge 3 3", "e 1 2", "e 1 3", "e 2 3"]
 
 
 def test_certificate_json_shape():

@@ -16,24 +16,27 @@ from matchkneser import (
     LabeledGraph,
     ParameterError,
     SearchTimeout,
-    bipartition,
     enumerate_matchings,
     first_matching,
     has_r_matching,
-    is_bipartite,
     is_connected,
     is_tree,
     make_graph,
-    make_matching,
     matching_number,
-    maximum_matching,
     petersen,
     radius,
     read_edgelist,
     remove_edges,
     write_edgelist,
 )
-from matchkneser.graphs import decode_matching, edgelist_pieces, matching_blocks, parse_edgelist
+from matchkneser.graphs import (
+    _find_augmenting_path,
+    decode_matching,
+    edgelist_pieces,
+    matching_blocks,
+    maximum_mates,
+    parse_edgelist,
+)
 from matchkneser.families import gap_graph, gap_tree, FamilyParams, matching_graph
 from matchkneser.kneser import capped_matchings
 
@@ -45,6 +48,7 @@ from helpers import (
     count_matchings,
     flower_snark,
     graphs,
+    make_matching,
     to_networkx,
 )
 
@@ -234,12 +238,6 @@ def test_connectivity():
     assert is_connected(make_graph(0, []))
 
 
-def test_bipartition():
-    assert bipartition(P4) == ((0, 2), (1, 3))
-    assert bipartition(K3) is None
-    assert not is_bipartite(petersen())
-
-
 def test_tree_and_radius():
     assert is_tree(P4) and radius(P4) == 2
     assert not is_tree(K3) and radius(K3) == 1
@@ -272,16 +270,6 @@ def test_connectivity_bipartition_and_radius_agree_with_networkx(seed):
     H = to_networkx(G)
     connected = G.n <= 1 or nx.is_connected(H)
     assert is_connected(G) == connected
-    if nx.is_bipartite(H):
-        # each component's least vertex on the first side, the rest by distance parity
-        parity = {}
-        for component in nx.connected_components(H):
-            lengths = nx.single_source_shortest_path_length(H, min(component))
-            parity.update((v, d & 1) for v, d in lengths.items())
-        sides = tuple(tuple(v for v in range(G.n) if parity[v] == s) for s in (0, 1))
-        assert bipartition(G) == sides
-    else:
-        assert bipartition(G) is None
     if not connected or G.n == 0:
         with pytest.raises(ParameterError):
             radius(G)
@@ -440,9 +428,26 @@ def test_matching_number_examples():
 
 
 def test_maximum_matching_is_canonical_and_valid():
-    mm = maximum_matching(petersen())
+    mate = maximum_mates(petersen())
+    assert all(mate[w] == v for v, w in enumerate(mate) if w != -1)
+    mm = tuple((v, w) for v, w in enumerate(mate) if w > v)
     assert mm == make_matching(petersen(), mm)  # canonical + valid
     assert len(mm) == 5
+
+
+def test_maximum_mates_starts_no_search_at_an_isolated_vertex(monkeypatch):
+    searches = []
+
+    def counted(adj, mate, root, log):
+        searches.append(root)
+        return _find_augmenting_path(adj, mate, root, log)
+
+    monkeypatch.setattr("matchkneser.graphs._find_augmenting_path", counted)
+    assert maximum_mates(make_graph(10**5, [])) == [-1] * 10**5
+    assert searches == []
+    # A vertex with a neighbor is still searched from: 2 is left exposed.
+    assert maximum_mates(make_graph(4, [(0, 1), (1, 2)])) == [1, 0, -1, -1]
+    assert searches == [2]
 
 
 def test_has_r_matching():

@@ -19,7 +19,6 @@ from matchkneser import (
     VerificationError,
     backward_map,
     build_matching_kneser,
-    certified_chi,
     certify_family,
     colex_rank,
     enumerate_matchings,
@@ -29,7 +28,6 @@ from matchkneser import (
     make_graph,
     petersen,
     r_subsets,
-    verify_homomorphism,
 )
 from matchkneser import homcert
 from matchkneser.coloring import check_coloring
@@ -37,13 +35,12 @@ from matchkneser.graphs import write_lines
 from matchkneser.homcert import (
     CERTIFY_MATCHING_CAP,
     check_color_classes,
-    find_violation,
     hom_witness_lines,
 )
 from matchkneser.kneser import capped_matchings
 from matchkneser.verify import THEOREM2_GRID
 
-from helpers import SURVEY_GRID, CountingDeadline
+from helpers import SURVEY_GRID, CountingDeadline, find_violation, verify_homomorphism
 
 P311 = FamilyParams(3, 1, 1)
 
@@ -186,7 +183,7 @@ def test_forward_witness_is_a_homomorphism_on_graphs():
     [(FamilyParams(3, 1, 1), 1), (FamilyParams(3, 2, 1), 2), (FamilyParams(3, 3, 1), 3)],
 )
 def test_certified_chi(params, theta):
-    assert certified_chi(params).k == theta
+    assert certify_family(params).chi_certificate.k == theta
 
 
 def test_certification_internals():

@@ -18,7 +18,7 @@ from matchkneser import (
 )
 from matchkneser import report
 from matchkneser.coloring import EdgelessWitness
-from matchkneser.report import HOLDS, UNKNOWN, VIOLATED, assemble_report, reports_json, reports_table
+from matchkneser.report import HOLDS, UNKNOWN, VIOLATED, assemble_report, reports_table, write_json
 
 from helpers import CountingDeadline
 
@@ -118,11 +118,11 @@ def test_unknown_when_kneser_cap_blocks_chi():
     assert rep.removal_bound == 3  # the deletion side still solved
 
 
-def test_json_rendering_is_stable():
-    reps = sequence_report(1, [3])
-    first = reports_json(reps)
-    second = reports_json(sequence_report(1, [3]))
-    assert first == second
+def test_json_rendering_is_stable(tmp_path):
+    for name in ("first", "second"):
+        write_json([rep.to_json_dict() for rep in sequence_report(1, [3])], tmp_path / name)
+    first = (tmp_path / "first").read_text()
+    assert first == (tmp_path / "second").read_text()
     payload = json.loads(first)
     assert payload[0]["instance"] == "tree(r=3,theta=1)"
     assert payload[0]["witnesses"]["deletion"]["size"] == 2

@@ -1,8 +1,10 @@
 """The documented experiment scripts run to completion with their default caps."""
 
+import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +108,47 @@ def test_tracer_aliases_resolve_on_the_package():
     for module, attr, span, _ in spans.INNER_CALLS:
         target = getattr(importlib.import_module(f"matchkneser.{module}"), attr, None)
         assert callable(target), f"matchkneser.{module}.{attr}, traced as {span}, is gone"
+
+
+def test_benchmark_entry_points_resolve_on_the_package():
+    # perfbench/run.py calls each layer through ENTRY_CALLS, and
+    # perfbench/workloads.py reads ``mk.<module>.<attr>`` directly; read
+    # both from their source, so that neither file is executed.
+    run_tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    (entry_calls,) = [
+        ast.literal_eval(node.value)
+        for node in run_tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["ENTRY_CALLS"]
+    ]
+    assert entry_calls
+    reads = {(module, attr) for attr, (module, _) in entry_calls.items()}
+    workloads_tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    workload_reads = {
+        (node.value.attr, node.attr)
+        for node in ast.walk(workloads_tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "mk"
+    }
+    assert {("families", "FamilyParams"), ("graphs", "make_graph"), ("report", "assemble_report")} <= workload_reads
+    for module, attr in sorted(reads | workload_reads):
+        target = getattr(importlib.import_module(f"matchkneser.{module}"), attr, None)
+        assert callable(target), f"matchkneser.{module}.{attr}, called by perfbench/, is gone"
+
+
+def test_readme_library_block_runs_as_its_comments_say():
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"^## Library\n\n```python\n(.*?)^```", readme, re.S | re.M)
+    checks = (
+        'assert (rep.removal_bound, rep.chi, rep.verdict) == (3, 1, "VIOLATED")\n'
+        "assert cert.chi_certificate.k == 3\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", block + checks], capture_output=True, text=True, env=env, timeout=600, check=False,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("name", ["gap_survey.py", "growth_table.py"])
