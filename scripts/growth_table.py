@@ -11,7 +11,7 @@ overrun); the table is printed either way.
 
 import argparse
 
-from matchkneser import sequence_report
+from matchkneser import Deadline, sequence_report
 from matchkneser.cli import exit_on_predictions, int_at_least, parse_seconds
 from matchkneser.report import reports_table, write_json
 
@@ -24,7 +24,7 @@ def main() -> None:
     ap.add_argument("--timeout", type=parse_seconds, default=300.0)
     args = ap.parse_args()
 
-    reports = sequence_report(args.theta, args.r, time_budget=args.timeout)
+    reports = sequence_report(args.theta, args.r, deadline=Deadline(args.timeout))
     if args.format == "json":
         write_json([rep.to_json_dict() for rep in reports], None)
     else:

@@ -253,7 +253,6 @@ def _search_k_coloring(n: int, adj: tuple[int, ...], k: int, deadline: Deadline)
 def is_k_colorable(
     H: LabeledGraph,
     k: int,
-    time_budget: float | None = DEFAULT_TIME_BUDGET,
     deadline: Deadline | None = None,
 ) -> tuple[int, ...] | None:
     """A proper k-coloring of H if one exists, else None (a proven no).
@@ -264,7 +263,7 @@ def is_k_colorable(
 
     if k < 0:
         raise ParameterError("color count k must be non-negative")
-    deadline = ensure_deadline(deadline, time_budget)
+    deadline = ensure_deadline(deadline, DEFAULT_TIME_BUDGET)
     deadline.check("k-coloring search")
     if not k:
         return None if H.n else ()
@@ -276,7 +275,6 @@ def is_k_colorable(
 
 def chromatic_number(
     H: LabeledGraph,
-    time_budget: float | None = DEFAULT_TIME_BUDGET,
     deadline: Deadline | None = None,
 ) -> ChiCertificate:
     """The exact chromatic number of H with a certificate for both bounds.
@@ -289,7 +287,7 @@ def chromatic_number(
     chi >= k and the clique size.
     """
 
-    deadline = ensure_deadline(deadline, time_budget)
+    deadline = ensure_deadline(deadline, DEFAULT_TIME_BUDGET)
     if H.n == 0:
         return ChiCertificate(k=0, coloring=(), witness=EmptyWitness())
     if H.m == 0:

@@ -24,7 +24,6 @@ zero. Its canonical form, the sorted tuple of ``(u, v)`` edges with
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from collections import deque
 from contextlib import nullcontext
 from functools import cached_property, partial
@@ -122,20 +121,6 @@ class LabeledGraph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """True iff (u, v) is an edge; False outside ``0..n-1``.
-
-        Read from ``adj_masks`` when the graph holds them, else from the
-        sorted ``adj``, so an edge-built graph stays free of n-bit rows.
-        """
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        if "adj_masks" in self.__dict__:
-            return bool(self.adj_masks[u] >> v & 1)
-        nbrs = self.adj[u]
-        i = bisect_left(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
 
 
 def _bit_positions(x: int, offset: int) -> Iterator[int]:
@@ -412,8 +397,8 @@ def mask_text(edges: Sequence[Edge]) -> Callable[[int], str]:
 class MatchingView(Sequence[Matching]):
     """Matchings held as edge-index bitmasks over ``edges``, decoded one at a time on read.
 
-    Indexing gives a canonical matching and slicing another view. Equality
-    and hashing are over ``(edges, masks)`` and never decode.
+    Indexing gives a canonical matching. Equality and hashing are over
+    ``(edges, masks)`` and never decode.
     """
 
     __slots__ = ("edges", "masks")
@@ -425,9 +410,7 @@ class MatchingView(Sequence[Matching]):
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return MatchingView(self.edges, self.masks[i])
+    def __getitem__(self, i: int) -> Matching:
         return decode_matching(self.edges, self.masks[i])
 
     def __eq__(self, other: object) -> bool:
@@ -547,6 +530,10 @@ def maximum_mates(G: LabeledGraph) -> list[int]:
         if mate[u] == -1 and mate[v] == -1:
             mate[u] = v
             mate[v] = u
+    # An augmenting path starts on an edge at an exposed vertex; with none
+    # the greedy matching is maximum, and no adjacency is built.
+    if -1 not in map(mate.__getitem__, chain.from_iterable(G.edges)):
+        return mate
     adj = G.adj
     for v in range(G.n):
         # No search can leave a vertex with no neighbors.

@@ -157,6 +157,7 @@ def _describer(desc: Sequence[Any]) -> Callable[[int], str]:
 
 
 def check_color_classes(
+    color_keys: set[tuple[int, int]],
     masks: Sequence[int],
     coloring: Sequence[int],
     key_bits: int,
@@ -166,30 +167,19 @@ def check_color_classes(
 
     ``masks[i]`` is the edge bitmask of a matching and ``coloring[i]`` its
     color. Within a class the matchings fall into groups by their key
-    ``mask & key_bits``. Two matchings whose keys intersect share an edge,
+    ``mask & key_bits``; ``color_keys`` is the set of (color, key) pairs of
+    all the matchings. Two matchings whose keys intersect share an edge,
     so a pair of groups with intersecting keys -- a group with a non-zero
     key paired with itself included -- holds no edge-disjoint pair. Only a
     pair of groups with disjoint keys (a zero key paired with itself
     included) is tested, mask against mask with ``not x & y``, up to the
     first disjoint pair; the first such test groups all masks by
-    (color, key) in one pass. Without one the cost is a pass over the
-    matchings plus the square of the number of groups in each class.
-    Classes are checked in increasing color order, so the lowest improper
-    color is the one named; ``deadline`` is checked once per class, once
-    per tested group pair and once per member of that pair's first group.
+    (color, key) in one pass. Without one the cost is the square of the
+    number of groups in each class. Classes are checked in increasing
+    color order, so the lowest improper color is the one named;
+    ``deadline`` is checked once per class, once per tested group pair and
+    once per member of that pair's first group.
     """
-
-    _check_key_groups(set(zip(coloring, map(key_bits.__and__, masks))), masks, coloring, key_bits, deadline)
-
-
-def _check_key_groups(
-    color_keys: set[tuple[int, int]],
-    masks: Sequence[int],
-    coloring: Sequence[int],
-    key_bits: int,
-    deadline: Deadline,
-) -> None:
-    """:func:`check_color_classes` given ``color_keys``, the set of (color, key) pairs it reads."""
 
     stage = "pulled-back coloring check"
     keys_of: dict[int, list[int]] = {}
@@ -259,7 +249,9 @@ def certify_family(
     :class:`KneserSizeError` before anything is enumerated; the default
     :data:`CERTIFY_MATCHING_CAP` bounds the stored matchings, not a Kneser
     graph, which is never built here. The enumeration must then find exactly
-    that many matchings.
+    that many matchings. A given ``deadline`` bounds the certification and
+    ``time_budget`` is then ignored; without one, it gets ``time_budget``
+    seconds.
     """
 
     p = params
@@ -306,7 +298,7 @@ def certify_family(
     # A matching's pulled color is a function of its key, so the distinct
     # keys alone give the (color, key) set the class check reads.
     color_keys = {(colors[i], key) for key, i in index_of.items()}
-    _check_key_groups(color_keys, masks, pulled_coloring, pair_bits, deadline)
+    check_color_classes(color_keys, masks, pulled_coloring, pair_bits, deadline)
 
     # Backward homomorphism: every image is an r-matching of the host (found
     # by bisection on the decoded masks, which come in canonical order,

@@ -128,7 +128,6 @@ def gap_report(
     G: LabeledGraph,
     r: int,
     instance: str = "",
-    time_budget: float | None = None,
     deadline: Deadline | None = None,
     kneser_cap: int = DEFAULT_MATCHING_CAP,
 ) -> GapReport:
@@ -138,7 +137,7 @@ def gap_report(
     Timeouts and cap overruns degrade to UNKNOWN instead of failing.
     """
 
-    deadline = ensure_deadline(deadline, time_budget)
+    deadline = ensure_deadline(deadline, None)
     label = instance or f"graph(n={G.n},m={G.m})"
     deletion = min_deletion_set(G, r, deadline=deadline)
     try:
@@ -173,7 +172,6 @@ def family_report(params: FamilyParams, host: LabeledGraph, instance: str, deadl
 def sequence_report(
     theta: int,
     r_list: list[int],
-    time_budget: float | None = None,
     deadline: Deadline | None = None,
 ) -> list[GapReport]:
     """Reports for the radius-2 tree family at fixed theta across the given r values.
@@ -184,7 +182,7 @@ def sequence_report(
     than overwriting anything. One deadline bounds the whole sequence.
     """
 
-    deadline = ensure_deadline(deadline, time_budget)
+    deadline = ensure_deadline(deadline, None)
     reports = []
     for r in r_list:
         params = FamilyParams(r=r, theta=theta, gamma=r - 2)

@@ -76,6 +76,8 @@ def min_deletion_set(
     is entered only while the least set it could reach sorts below it, so
     neither bound cuts the lexicographically least optimum. Depth never
     exceeds the optimum, so the search is cheap whenever the answer is.
+    A given ``deadline`` bounds the search and ``time_budget`` is then
+    ignored; without one, the search gets ``time_budget`` seconds.
     """
 
     if r < 1:
@@ -150,19 +152,14 @@ def min_deletion_set(
     return DeletionCertificate(r=r, deleted=best_set, size=best_size, optimal=optimal)
 
 
-def optimal_deletion_set(
-    G: LabeledGraph,
-    r: int,
-    time_budget: float | None = DEFAULT_TIME_BUDGET,
-    deadline: Deadline | None = None,
-) -> DeletionCertificate:
+def optimal_deletion_set(G: LabeledGraph, r: int, deadline: Deadline | None = None) -> DeletionCertificate:
     """:func:`min_deletion_set`, proven optimal.
 
     Raises :class:`SearchTimeout` rather than returning an unproven set. Its
     message brackets the optimum between nu(G) - r + 1 and the best set found.
     """
 
-    cert = min_deletion_set(G, r, time_budget=time_budget, deadline=deadline)
+    cert = min_deletion_set(G, r, deadline=deadline)
     if not cert.optimal:
         lower = matching_number(G) - r + 1
         raise SearchTimeout(
@@ -171,16 +168,11 @@ def optimal_deletion_set(
     return cert
 
 
-def generalized_turan(
-    G: LabeledGraph,
-    r: int,
-    time_budget: float | None = DEFAULT_TIME_BUDGET,
-    deadline: Deadline | None = None,
-) -> int:
+def generalized_turan(G: LabeledGraph, r: int, deadline: Deadline | None = None) -> int:
     """ex(G, rK2): the maximum edge count of an (rK2)-free spanning subgraph of G.
 
     Computed as |E(G)| minus the size of :func:`optimal_deletion_set`, so a
     search that times out raises :class:`SearchTimeout`.
     """
 
-    return G.m - optimal_deletion_set(G, r, time_budget, deadline).size
+    return G.m - optimal_deletion_set(G, r, deadline).size

@@ -75,20 +75,15 @@ def naive_max_free_edge_count(G: LabeledGraph, r: int) -> int:
     return 0
 
 
-def random_connected_graphs(
-    count: int = PROP1_GRAPH_COUNT,
-    seed: int = PROP1_SEED,
-    max_n: int = 8,
-    max_m: int = 12,
-) -> list[LabeledGraph]:
-    """Seeded pseudo-random connected graphs within the given size bounds."""
+def random_connected_graphs() -> list[LabeledGraph]:
+    """PROP1_GRAPH_COUNT seeded pseudo-random connected graphs of 2 to 8 vertices and at most 12 edges."""
 
-    rng = random.Random(seed)
+    rng = random.Random(PROP1_SEED)
     graphs: list[LabeledGraph] = []
-    while len(graphs) < count:
-        n = rng.randint(2, max_n)
+    while len(graphs) < PROP1_GRAPH_COUNT:
+        n = rng.randint(2, 8)
         pairs = list(combinations(range(n), 2))
-        m = rng.randint(n - 1, min(max_m, len(pairs)))
+        m = rng.randint(n - 1, min(12, len(pairs)))
         G = make_graph(n, rng.sample(pairs, m))
         if is_connected(G):
             graphs.append(G)

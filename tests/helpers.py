@@ -12,10 +12,12 @@ branching order.
 
 from __future__ import annotations
 
+import re
 import sys
 from functools import cache
 from itertools import combinations
 from math import comb, perm
+from pathlib import Path
 
 import networkx as nx
 from hypothesis import strategies as st
@@ -68,13 +70,28 @@ def brute_force_matchings(G: LabeledGraph, r: int) -> list[Matching]:
     return sorted(combo for combo, _, _ in grown)
 
 
+def readme_library_block() -> str:
+    """The Python block under the README's ``## Library`` heading."""
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"^## Library\n\n```python\n(.*?)^```", readme, re.S | re.M)
+    return block
+
+
+def edge_set(G: LabeledGraph) -> set[Edge]:
+    """Every edge of G in both orientations, read from ``G.edges``: build it once per graph."""
+
+    return {*G.edges, *((v, u) for u, v in G.edges)}
+
+
 def make_matching(G: LabeledGraph, edges) -> Matching:
     """Canonicalize ``edges`` into a matching of ``G``; validates membership and disjointness."""
 
     canon = sorted((u, v) if u < v else (v, u) for u, v in edges)
+    host_edges = edge_set(G)
     used: set[int] = set()
     for u, v in canon:
-        if not G.has_edge(u, v):
+        if (u, v) not in host_edges:
             raise GraphConstructionError(f"edge ({u}, {v}) does not belong to the host graph")
         if u in used or v in used:
             raise GraphConstructionError(f"edges are not pairwise vertex-disjoint at ({u}, {v})")
@@ -88,9 +105,10 @@ def find_violation(witness: HomWitness, source: LabeledGraph, target: LabeledGra
 
     if len(witness.mapping) != source.n:
         raise ParameterError(f"mapping covers {len(witness.mapping)} of {source.n} source vertices")
+    target_edges = edge_set(target)
     for u, v in source.edges:
         a, b = witness.mapping[u], witness.mapping[v]
-        if a == b or not target.has_edge(a, b):
+        if a == b or (a, b) not in target_edges:
             return (u, v)
     return None
 
@@ -274,6 +292,7 @@ def are_isomorphic(G: LabeledGraph, H: LabeledGraph) -> bool:
     deg_h = [len(H.adj[v]) for v in range(H.n)]
     if sorted(deg_g) != sorted(deg_h):
         return False
+    g_edges, h_edges = edge_set(G), edge_set(H)
     mapping = [-1] * G.n
     used = [False] * H.n
 
@@ -285,12 +304,12 @@ def are_isomorphic(G: LabeledGraph, H: LabeledGraph) -> bool:
                 continue
             ok = True
             for u in G.adj[v]:
-                if u < v and not H.has_edge(mapping[u], w):
+                if u < v and (mapping[u], w) not in h_edges:
                     ok = False
                     break
             if ok:
                 for u in range(v):
-                    if not G.has_edge(u, v) and H.has_edge(mapping[u], w):
+                    if (u, v) not in g_edges and (mapping[u], w) in h_edges:
                         ok = False
                         break
             if ok:

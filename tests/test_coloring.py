@@ -135,7 +135,7 @@ def test_determinism():
 
 def test_timeout_is_distinguished_from_no():
     with pytest.raises(SearchTimeout):
-        is_k_colorable(petersen(), 3, time_budget=-1.0)
+        is_k_colorable(petersen(), 3, deadline=Deadline(-1.0))
     with pytest.raises(SearchTimeout):
         chromatic_number(petersen(), deadline=Deadline(-1.0))
 

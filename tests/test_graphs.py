@@ -46,6 +46,7 @@ from helpers import (
     brute_force_matchings,
     brute_force_matching_number,
     count_matchings,
+    edge_set,
     flower_snark,
     graphs,
     make_matching,
@@ -86,12 +87,13 @@ def test_remove_edges_is_persistent():
 
 def _adj_mask_law(G):
     masks = G.adj_masks
+    edges = edge_set(G)
     assert len(masks) == G.n
     for u in range(G.n):
         assert not masks[u] >> u & 1  # no self-bits
         for v in range(G.n):
             assert (masks[u] >> v & 1) == (masks[v] >> u & 1)  # symmetric
-            assert bool(masks[u] >> v & 1) == (u != v and G.has_edge(u, v))
+            assert bool(masks[u] >> v & 1) == ((u, v) in edges)
         assert masks[u].bit_count() == len(G.adj[u])
 
 
@@ -129,8 +131,6 @@ def test_mask_built_and_edge_built_graphs_agree(G):
     assert hash(H) == hash(G)
     assert H.edges == G.edges
     assert H.adj == G.adj and H.adj_masks == G.adj_masks
-    pairs = [(u, v) for u in range(-1, G.n + 1) for v in range(-1, G.n + 1)]
-    assert [H.has_edge(u, v) for u, v in pairs] == [G.has_edge(u, v) for u, v in pairs]
 
 
 def test_hashing_and_comparing_a_mask_built_graph_leaves_its_edges_undecoded():
@@ -138,32 +138,6 @@ def test_hashing_and_comparing_a_mask_built_graph_leaves_its_edges_undecoded():
     H = _from_masks(G)
     assert hash(H) == hash(G) and H == G and H != _from_masks(P4)
     assert "edges" not in vars(H)
-
-
-def test_has_edge_on_a_mask_built_graph_leaves_its_edges_undecoded():
-    G = petersen()
-    H = _from_masks(G)
-    assert all(H.has_edge(u, v) and H.has_edge(v, u) for u, v in G.edges)
-    assert not H.has_edge(0, 2) and not H.has_edge(0, 0)
-    assert not H.has_edge(-1, 0) and not H.has_edge(0, 10) and not H.has_edge(10, 0)
-    assert "edges" not in H.__dict__
-
-
-@pytest.mark.parametrize("G", [P4, K3, petersen(), gap_tree(3, 1), make_graph(5, [(1, 3)])])
-def test_has_edge_on_an_edge_built_graph_leaves_its_masks_unbuilt(G):
-    G = make_graph(G.n, G.edges)  # a fresh copy, with no masks cached
-    pairs = [(u, v) for u in range(-1, G.n + 1) for v in range(-1, G.n + 1)]
-    got = [G.has_edge(u, v) for u, v in pairs]
-    assert "adj_masks" not in vars(G)
-    assert got == [_from_masks(G).has_edge(u, v) for u, v in pairs]
-
-
-def test_has_edge_on_a_large_tree_reads_no_masks():
-    # Rows of 24,362 bits each would hold about 74 MB.
-    G = gap_tree(9, 3)
-    assert all(G.has_edge(u, v) and G.has_edge(v, u) for u, v in G.edges[:100])
-    assert not G.has_edge(0, 1) and not G.has_edge(0, G.n)
-    assert "adj_masks" not in vars(G)
 
 
 def test_graphs_differ_when_any_part_differs():

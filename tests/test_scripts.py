@@ -2,9 +2,9 @@
 
 import ast
 import importlib.util
+import inspect
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +15,7 @@ from matchkneser import FamilyParams, certify_family, gap_graph
 from matchkneser.kneser import capped_matchings
 from matchkneser.verify import THEOREM2_GRID
 
-from helpers import SURVEY_GRID, gap_matching_count
+from helpers import SURVEY_GRID, gap_matching_count, readme_library_block
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -135,11 +135,30 @@ def test_benchmark_entry_points_resolve_on_the_package():
     for module, attr in sorted(reads | workload_reads):
         target = getattr(importlib.import_module(f"matchkneser.{module}"), attr, None)
         assert callable(target), f"matchkneser.{module}.{attr}, called by perfbench/, is gone"
+    # Each keyword workloads.py passes, to an ``L.<attr>`` entry call or to
+    # ``mk.<module>.<attr>``, is a parameter of the function it reaches: a
+    # dropped one fails every operation of its workload, not a test.
+    keywords = set()
+    for node in ast.walk(workloads_tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not isinstance(func, ast.Attribute):
+            continue
+        if isinstance(func.value, ast.Name) and func.value.id == "L":
+            module = entry_calls[func.attr][0]
+        elif isinstance(func.value, ast.Attribute) and getattr(func.value.value, "id", None) == "mk":
+            module = func.value.attr
+        else:
+            continue
+        keywords.update((module, func.attr, kw.arg) for kw in node.keywords)
+    assert {("homcert", "certify_family", "time_budget"), ("turan", "min_deletion_set", "time_budget")} <= keywords
+    assert len({kw for kw in keywords if kw[1] == "assemble_report"}) == 7
+    for module, attr, keyword in sorted(keywords):
+        target = getattr(importlib.import_module(f"matchkneser.{module}"), attr)
+        assert keyword in inspect.signature(target).parameters, f"perfbench/ passes {keyword}= to {module}.{attr}"
 
 
 def test_readme_library_block_runs_as_its_comments_say():
-    readme = (ROOT / "README.md").read_text()
-    (block,) = re.findall(r"^## Library\n\n```python\n(.*?)^```", readme, re.S | re.M)
+    block = readme_library_block()
     checks = (
         'assert (rep.removal_bound, rep.chi, rep.verdict) == (3, 1, "VIOLATED")\n'
         "assert cert.chi_certificate.k == 3\n"

@@ -104,7 +104,13 @@ def test_timeout_yields_unclaimed_bound():
     assert not cert.optimal
     assert matching_number(remove_edges(petersen(), cert.deleted)) <= 4
     with pytest.raises(SearchTimeout):
-        generalized_turan(petersen(), 5, time_budget=-1.0)
+        generalized_turan(petersen(), 5, deadline=Deadline(-1.0))
+
+
+def test_a_given_deadline_wins_over_the_time_budget():
+    # The two solvers that take both ignore time_budget once given a deadline.
+    assert min_deletion_set(petersen(), 5, time_budget=-1.0, deadline=Deadline(None)).optimal
+    certify_family(FamilyParams(3, 1, 1), time_budget=-1.0, deadline=Deadline(None))
 
 
 @pytest.mark.parametrize(
@@ -112,7 +118,7 @@ def test_timeout_yields_unclaimed_bound():
     [
         lambda budget: min_deletion_set(gap_tree(7, 1), 7, time_budget=budget),
         lambda budget: certify_family(FamilyParams(3, 1, 1), time_budget=budget),
-        lambda budget: chromatic_number(petersen(), time_budget=budget),
+        lambda budget: chromatic_number(petersen(), deadline=Deadline(budget)),
     ],
     ids=["min_deletion_set", "certify_family", "chromatic_number"],
 )
@@ -128,7 +134,7 @@ def test_timeout_message_brackets_the_optimum():
     # nu(Petersen) = 5, so at r = 5 at least one deletion is needed; the
     # search stops before its first node, so the best set is all 15 edges.
     with pytest.raises(SearchTimeout, match=r"optimum in \[1, 15\]"):
-        generalized_turan(petersen(), 5, time_budget=-1.0)
+        generalized_turan(petersen(), 5, deadline=Deadline(-1.0))
 
 
 def test_certificate_json_schema():
@@ -229,7 +235,7 @@ def test_repaired_matching_is_maximum_after_each_deletion(seed):
         # the repaired mate array is a matching of the smaller graph
         pairs = [(a, mate[a]) for a in range(G.n) if mate[a] > a]
         assert all(mate[b] == a for a, b in pairs)
-        assert all(left.has_edge(a, b) for a, b in pairs)
+        assert set(pairs) <= set(left.edges)
         assert len(pairs) == matching_number(left)
 
 
@@ -258,6 +264,18 @@ def _traced_peak(run):
         return run(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_search_that_cannot_start_builds_no_adjacency():
+    # No augmenting path starts without an edge at an exposed vertex, so
+    # nothing reads G.adj: on 10**5 vertices it costs more than the solve.
+    G = make_graph(10**5, [])
+    cert = min_deletion_set(G, 1)
+    assert cert.optimal and cert.size == 0
+    assert "adj" not in vars(G)
+    H = matching_graph(1000)  # the greedy seed is already perfect
+    assert (H.n - maximum_mates(H).count(-1)) // 2 == 1000
+    assert "adj" not in vars(H)
 
 
 def test_repair_allocates_nothing_of_the_host_size():
