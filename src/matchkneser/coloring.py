@@ -23,11 +23,25 @@ restores them with two list assignments. Forced vertices are never retried,
 since their one color has no alternative. A coloring is a dead end when it
 takes a top-level vertex's last color, or when it moves some vertex into the
 top level and, for some f, the lowest vertex left only f has a neighbor left
-only f. The cut removes only subtrees that hold no coloring and leaves the
-order of the other colorings as it was, so the first coloring found and
-every proven "no" are those of the search without it. Refuting 7 colors on
-K(10,2) takes 13,649 colorings, 3,592 of them branches; with one node per
-colored vertex and no cut it took 26,798 nodes. The search is one loop over
+only f.
+
+A branch is final, and is backed out of without trying its other colors,
+when its coloring and the forced colorings after it end with no dead end and
+leave every still-uncolored vertex seeing the colors it saw before the
+branch. This is the autark assignment of Monien and Speckenmeyer (Discrete
+Appl. Math. 10, 1985): the vertices colored since the branch are properly
+colored and took no color from any other vertex, so any completion of the
+branch's node, recolored to agree with them, completes the current state,
+which the subtree searches in full.
+
+Both cuts remove only subtrees that hold no coloring and leave the order of
+the other colorings as it was, so the first coloring found and every proven
+"no" are those of the search without them. Refuting 7 colors on K(10,2)
+takes 5,149 colorings, 1,858 of them branches; without the autarky cut it
+took 13,649, and with one node per colored vertex and neither cut 26,798
+nodes. K(11,2) at k = 8 takes 23,636 colorings, not 176,218, and ten
+isolated vertices before a K4 take 15 at k = 3, not 103,341: each isolated
+vertex is final, so the K4 is refuted once. The search is one loop over
 the trail: it never recurses and changes no process-wide state. It checks
 its deadline once every ``_DEADLINE_STRIDE`` colorings, forced or not, and
 a timeout raises :class:`SearchTimeout` naming how many colorings it made,
@@ -152,6 +166,10 @@ def _search_k_coloring(n: int, adj: tuple[int, ...], k: int, deadline: Deadline)
     # and the uncolored set, levels and seen sets to restore when its color
     # changes.
     trail: list[tuple[int, int, int, list[int], list[int]]] = []
+    # touched: the vertices that saw a new color since the last branch was
+    # colored; final: the branch vertices whose node holds a coloring iff
+    # their subtree does, so they are never retried.
+    touched = final = 0
     stride = _DEADLINE_STRIDE
     colorings = used = 0
     check_at = stride
@@ -159,22 +177,27 @@ def _search_k_coloring(n: int, adj: tuple[int, ...], k: int, deadline: Deadline)
     while True:
         if dead:
             # Give the last branch vertex its next color, among the colors in
-            # use and one fresh color; forced vertices are never retried.
+            # use and one fresh color; forced vertices and final branches are
+            # never retried.
             while trail:
                 v, used, free, saved_level, saved_seen = trail[-1]
                 bit = 1 << v
-                c = color[v] + 1
-                end = used + 1 if used < k else k
-                while c < end and saved_seen[c] & bit:
-                    c += 1
-                if c < end:
-                    break
+                if final & bit:
+                    final ^= bit
+                else:
+                    c = color[v] + 1
+                    end = used + 1 if used < k else k
+                    while c < end and saved_seen[c] & bit:
+                        c += 1
+                    if c < end:
+                        break
                 trail.pop()
             else:
                 return None
             level[:] = saved_level
             seen[:] = saved_seen
             dead = False
+            touched = 0
         else:
             # A vertex with one color left is colored inside the node that
             # forced it; only below the top level does the search branch.
@@ -183,6 +206,12 @@ def _search_k_coloring(n: int, adj: tuple[int, ...], k: int, deadline: Deadline)
                 bit = last & -last
                 level[top] = last ^ bit
             elif free:
+                # The last branch and the forced colorings after it changed
+                # no uncolored vertex's colors left, so every completion of
+                # its node recolors into one of its subtree: it is final.
+                if not touched & free and trail:
+                    final |= 1 << trail[-1][0]
+                touched = 0
                 # No vertex sees more colors than are in use.
                 s = used if used < top else top - 1
                 while not level[s]:
@@ -222,6 +251,7 @@ def _search_k_coloring(n: int, adj: tuple[int, ...], k: int, deadline: Deadline)
             dead = True
             continue
         seen[c] |= new
+        touched |= new
         t = top - 1
         rest = new
         while True:

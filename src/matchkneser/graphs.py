@@ -532,14 +532,33 @@ def maximum_mates(G: LabeledGraph) -> list[int]:
             mate[v] = u
     # An augmenting path starts on an edge at an exposed vertex; with none
     # the greedy matching is maximum, and no adjacency is built.
-    if -1 not in map(mate.__getitem__, chain.from_iterable(G.edges)):
-        return mate
-    adj = G.adj
-    for v in range(G.n):
-        # No search can leave a vertex with no neighbors.
-        if mate[v] == -1 and adj[v]:
-            _find_augmenting_path(adj, mate, v, [])
+    roots = sorted({w for w in chain.from_iterable(G.edges) if mate[w] == -1})
+    if roots:
+        adj = neighbor_lists(G)
+        for v in roots:  # an earlier augmentation may have matched v
+            if mate[v] == -1:
+                _find_augmenting_path(adj, mate, v, [])
     return mate
+
+
+def neighbor_lists(G: LabeledGraph) -> list[list[int] | tuple[()]]:
+    """Sorted neighbor lists by vertex; a vertex with no edge holds ``()``.
+
+    Past one n-slot list the cost is that of the edges. ``G.edges`` is
+    sorted, so appending keeps each list sorted.
+    """
+
+    adj: list[list[int] | tuple[()]] = [()] * G.n
+    for u, v in G.edges:
+        if adj[u]:
+            adj[u].append(v)
+        else:
+            adj[u] = [v]
+        if adj[v]:
+            adj[v].append(u)
+        else:
+            adj[v] = [u]
+    return adj
 
 
 def repair_matching(adj, mate: list[int], u: int, v: int, log: list[tuple[int, int]]) -> int:

@@ -8,15 +8,17 @@ the current maximum matching.
 
 No node builds a graph. The whole solve keeps one mutable adjacency, from
 which the branch edge is removed and then restored, and one maximum matching
-with its size nu. Deleting a matched edge lowers nu by at most one, and
-``repair_matching`` restores maximality with at most two augmenting-path
-searches. The same fact gives the bound: at least nu - r + 1 more deletions
-are needed, so a node is pruned once ``|removed| + nu - r + 1`` exceeds the
-best size found. A node whose bound equals it can only tie, and is pruned
-too unless its removed edges plus the smallest edges it may still delete
-sort below the best set. Branch i deletes the i-th branching edge and
-freezes the edges before it (they may not be deleted below), so no deletion
-set is reached twice and no memo of visited sets is needed.
+with its size nu. The adjacency holds only the vertices that edges touch, so
+a few edges among a million vertices reach the deadline check at once.
+Deleting a matched edge lowers nu by at most one, and ``repair_matching``
+restores maximality with at most two augmenting-path searches. The same
+fact gives the bound: at least nu - r + 1 more deletions are needed, so a
+node is pruned once ``|removed| + nu - r + 1`` exceeds the best size found.
+A node whose bound equals it can only tie, and is pruned too unless its
+removed edges plus the smallest edges it may still delete sort below the
+best set. Branch i deletes the i-th branching edge and freezes the edges
+before it (they may not be deleted below), so no deletion set is reached
+twice and no memo of visited sets is needed.
 
 The search does not recurse. It is one loop over an explicit trail, one
 entry per node on the current path, so the depth is bounded by memory, not
@@ -35,7 +37,7 @@ from itertools import islice
 from typing import Any
 
 from .errors import DEFAULT_TIME_BUDGET, Deadline, ParameterError, Record, SearchTimeout, ensure_deadline
-from .graphs import Edge, LabeledGraph, matching_number, maximum_mates, repair_matching
+from .graphs import Edge, LabeledGraph, matching_number, maximum_mates, neighbor_lists, repair_matching
 
 # Unused here, but kept bound: perfbench/spans.py wraps these attributes of this module.
 from .graphs import first_matching, has_r_matching, remove_edges  # noqa: F401
@@ -88,7 +90,7 @@ def min_deletion_set(
     if nu < r:
         return DeletionCertificate(r=r, deleted=(), size=0, optimal=True)
 
-    adj = [list(a) for a in G.adj]
+    adj = neighbor_lists(G)
     frozen: set[Edge] = set()
     removed: list[Edge] = []
     # Deleting everything is always valid, which seeds the bound.

@@ -150,6 +150,15 @@ def test_turan_solves_a_search_deeper_than_the_recursion_limit(tmp_path, capsys)
     assert "removal = 1199 (optimal)" in capsys.readouterr().out
 
 
+def test_turan_on_a_large_sparse_host_answers_within_a_short_timeout(tmp_path, capsys):
+    # Three of the 10**6 vertices have edges; the search adjacency covers
+    # those three, so the deadline is read long before half a second.
+    host = tmp_path / "sparse.edges"
+    host.write_text("1000000 2\n0 1\n1 2\n")
+    assert main(["turan", "--in", str(host), "--r", "1", "--timeout", "0.5"]) == EXIT_OK
+    assert "removal = 2 (optimal)" in capsys.readouterr().out
+
+
 def test_gap_json(petersen_file, capsys):
     assert main(["gap", "--in", str(petersen_file), "--r", "5", "--format", "json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)

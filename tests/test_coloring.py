@@ -179,11 +179,16 @@ def test_search_leaves_the_recursion_limit_alone():
 @pytest.mark.parametrize(
     "name, k, colorings",
     [
-        # 3,592 of the colorings branch; the search with a node per colored
-        # vertex made 13,650 nodes, and 26,798 without the forced-color cut.
-        ("K(10,2)", 7, 13649),
-        ("K(9,3)", 4, 1434),  # 273 branch; 1,435 nodes, 2,117 without the cut
-        ("gap(3,5,1)", 4, 1981),  # 585 branch; 1,982 nodes, 4,376 without the cut
+        # 1,858 of the colorings branch. Without the autarky cut the search
+        # made 13,649 colorings, 3,592 of them branches; with a node per
+        # colored vertex and neither cut, 26,798 nodes.
+        ("K(10,2)", 7, 5149),
+        ("K(9,3)", 4, 1274),  # 272 branch; 1,434 without the autarky cut, 2,117 nodes with neither
+        ("K(11,2)", 8, 23636),  # 8,380 branch; 176,218 without the autarky cut
+        ("gap(3,5,1)", 4, 1057),  # 341 branch; 1,981 without the autarky cut, 4,376 nodes with neither
+        # Each isolated vertex is a final branch, so the K4 is refuted once,
+        # not once per coloring of the ten: 103,341 without the autarky cut.
+        ("10K1+K4", 3, 15),
     ],
 )
 def test_refutation_node_counts(monkeypatch, name, k, colorings):
@@ -226,6 +231,22 @@ def test_search_memory_stays_small():
     assert peak <= 9_100_000
 
 
+@pytest.mark.slow
+def test_petersen_at_r3_has_chi_nine_by_exhaustion():
+    # 145 vertices and a greedy clique of 4: only refuting 8 colors shows
+    # chi = 9 = D. About 9 s; 254 s without the autarky cut.
+    cert = chromatic_number(build_matching_kneser(petersen(), 3).graph)
+    assert cert.k == 9 and cert.witness.kind == "EXHAUSTION"
+
+
+@pytest.mark.slow
+def test_p12_at_r3_has_chi_seven():
+    # The 6-coloring search of KG(P12, 3K2) takes about 25 s; without the
+    # autarky cut it was still open after 120 s.
+    path = make_graph(12, [(i, i + 1) for i in range(11)])
+    assert chromatic_number(build_matching_kneser(path, 3).graph).k == 7
+
+
 def test_chromatic_number_timeout_says_how_far_it_got():
     # K(9,3) has chi = 5 and a greedy clique of 3. The 3-coloring search is
     # refuted within its first 1,024 colorings; the deadline then trips
@@ -258,6 +279,8 @@ def test_deep_searches_never_touch_the_recursion_limit(monkeypatch):
 
 
 def _search_graph(name):
+    if name == "10K1+K4":  # ten isolated vertices, then a K4 on vertices 10..13
+        return make_graph(14, [(u, v) for u in range(10, 14) for v in range(u + 1, 14)])
     if name.startswith("K"):
         l, r = map(int, name[2:-1].split(","))
         return kneser_graph(l, r)
@@ -281,6 +304,38 @@ def test_search_matches_the_reference_at_every_k(name):
         expected = reference_k_coloring(H, k)
         got = is_k_colorable(H, k)
         assert got == (None if expected is None else tuple(expected)), k
+
+
+def _random_graph_beside_a_clique(rng):
+    # A random graph on the low vertices, searched first, then a clique of 3
+    # to 5 vertices: below the clique size every coloring of the random part
+    # is refuted again. The autarky cut fires in 43 of the 129 searches made
+    # here, where a last branch colors what is left of a component.
+    n, q, p = rng.randint(8, 14), rng.randint(3, 5), rng.uniform(0.2, 0.6)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return make_graph(n + q, edges + [(u, v) for u in range(n, n + q) for v in range(u + 1, n + q)])
+
+
+# A cut that read only the vertices the last coloring touched, not all since
+# the branch, would mark a branch final here and find a later 4-coloring.
+_TOUCHED_SINCE_THE_BRANCH = make_graph(20, [tuple(map(int, e.split("-"))) for e in """
+    0-3 0-4 0-5 0-9 0-13 0-14 0-18 0-19 1-7 1-8 1-9 1-13 1-17 2-12 2-15 2-19
+    3-5 3-12 4-6 4-10 4-15 4-18 5-11 5-12 5-17 5-18 6-14 6-15 6-16 7-11 7-12
+    7-19 8-12 8-14 9-13 9-16 10-12 10-17 11-15 13-16 14-19 16-19 18-19""".split()])
+
+
+def test_autarky_cut_keeps_every_answer_and_coloring():
+    # A final branch is popped without its other colors, which is sound only
+    # if its subtree held a coloring whenever its node did: the first coloring
+    # found and every proven no must be those of the search without the cut.
+    rng = random.Random(0)
+    hosts = [kneser_graph(l, 2) for l in range(4, 10)] + [kneser_graph(l, 3) for l in range(6, 10)]
+    hosts += [_search_graph("gap(3,4,1)"), _TOUCHED_SINCE_THE_BRANCH]
+    hosts += [_random_graph_beside_a_clique(rng) for _ in range(30)]
+    for H in hosts:
+        for k in range(1, chromatic_number(H).k + 1):
+            expected = reference_k_coloring(H, k)
+            assert is_k_colorable(H, k) == (None if expected is None else tuple(expected)), (H.n, H.m, k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -278,6 +278,18 @@ def test_a_search_that_cannot_start_builds_no_adjacency():
     assert "adj" not in vars(H)
 
 
+def test_a_search_reads_no_neighbor_tuples_of_the_whole_host():
+    # The search adjacency holds the vertices that edges touch, not all n.
+    G = make_graph(10**5, [(0, 1), (1, 2)])
+    cert = min_deletion_set(G, 1)
+    assert cert.optimal and cert.deleted == ((0, 1), (1, 2))
+    assert "adj" not in vars(G)
+    # The greedy seed takes (0, 1); the path 2-1-0-9 augments it.
+    H = make_graph(10**5, [(0, 1), (0, 9), (1, 2)])
+    assert maximum_mates(H)[:10] == [9, 2, 1, -1, -1, -1, -1, -1, -1, 0]
+    assert "adj" not in vars(H)
+
+
 def test_repair_allocates_nothing_of_the_host_size():
     # An augmenting path through a blossom beside 200,000 isolated vertices:
     # deleting the matched edge (0, 6) leaves 0 exposed, and 0-1-2-4-3-5
@@ -298,7 +310,6 @@ def test_deletion_search_keeps_no_copy_of_the_mate_array_per_node():
     # 1000K2 at r = 2 is searched down a path 999 deletions deep; a copy of
     # its 2,000-entry mate array per node would hold about 16 MB.
     G = matching_graph(1000)
-    G.adj  # built before the measurement
     cert, peak = _traced_peak(lambda: min_deletion_set(G, 2))
     assert cert.size == 999 and cert.optimal
     assert peak < 4 * 1024 * 1024
