@@ -10,6 +10,7 @@ of radius 2.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb, perm
 
 from .errors import ParameterError, Record, VerificationError
@@ -21,7 +22,8 @@ class FamilyParams(Record):
 
     Derived quantities: ``t = (r - 1) - gamma`` counts the hub vertices,
     ``l = theta + 2 * gamma`` the matched pairs, and ``w_count`` the padding
-    vertices attached to the hubs. Valid ranges: r >= 3, theta >= 1,
+    vertices attached to the hubs; each is cached on first read, outside
+    equality, hash and repr. Valid ranges: r >= 3, theta >= 1,
     1 <= gamma <= r - 2 (equivalently 1 <= t <= r - 2).
     """
 
@@ -40,15 +42,15 @@ class FamilyParams(Record):
         if self.gamma > self.r - 2:
             raise ParameterError(f"need gamma <= r - 2, got gamma={self.gamma}, r={self.r}")
 
-    @property
+    @cached_property
     def t(self) -> int:
         return (self.r - 1) - self.gamma
 
-    @property
+    @cached_property
     def l(self) -> int:
         return self.theta + 2 * self.gamma
 
-    @property
+    @cached_property
     def w_count(self) -> int:
         return self.t * comb(self.l, self.r - self.t) + self.l
 

@@ -43,6 +43,7 @@ _DEADLINE_STRIDE = 1024  # enumeration branches between deadline checks
 # Edge lines per piece of text when a held edge list is written: a row per
 # lower endpoint would be a piece per edge on a tree, five times slower.
 _PIECE_EDGES = 1024
+_SWAP_DIGITS = str.maketrans("01", "10")
 
 
 class LabeledGraph:
@@ -55,10 +56,12 @@ class LabeledGraph:
     as are ``m`` and ``adj``. ``roles`` optionally tags each
     vertex with a construction label such as ``"x2"`` or ``"w13"`` (empty
     string for untagged vertices); labels are metadata only and never
-    influence any algorithm. Equality and hashing are over
-    ``(n, adj_masks, roles)`` whichever form a graph was built from, so a
-    mask-built graph is compared without decoding its edges, and no
-    attribute can be assigned.
+    influence any algorithm. Graphs are equal when ``n``, ``m``, ``roles``
+    and the edges agree, whichever form each was built from; the edges are
+    compared in a form both hold (``edges`` if both hold it, else
+    ``adj_masks``), and the hash is over ``(n, m, roles)``, so neither
+    builds the other form of two like-built graphs. No attribute can be
+    assigned.
     """
 
     def __init__(
@@ -88,10 +91,13 @@ class LabeledGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented
-        return (self.n, self.adj_masks, self.roles) == (other.n, other.adj_masks, other.roles)
+        if (self.n, self.m, self.roles) != (other.n, other.m, other.roles):
+            return False
+        form = "edges" if "edges" in self.__dict__ and "edges" in other.__dict__ else "adj_masks"
+        return getattr(self, form) == getattr(other, form)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj_masks, self.roles))
+        return hash((self.n, self.m, self.roles))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -365,6 +371,17 @@ def decode_matching(edges: tuple[Edge, ...], mask: int) -> Matching:
     """
 
     return tuple(map(edges.__getitem__, _bit_positions(mask, 0)))
+
+
+def enumeration_key(mask: int) -> str:
+    """A sort key ordering masks of one size as :func:`matching_blocks` yields them.
+
+    The binary digits, lowest first, with 0 and 1 swapped: of two masks,
+    the one holding the lowest differing bit comes first, as its edge tuple
+    does.
+    """
+
+    return bin(mask)[:1:-1].translate(_SWAP_DIGITS)
 
 
 def edge_text(edge: Edge) -> str:

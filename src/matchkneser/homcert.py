@@ -15,25 +15,27 @@ of chi(K(l, r - t)) = theta:
 Both maps are verified, never trusted. The forward map needs no pair loop:
 computing it on each matching already proves it a homomorphism (see
 :func:`certify_family`). The pulled-back coloring is checked on every pair
-by :func:`check_color_classes`: matchings whose pair-edge sets intersect
-share an edge, so inside a color class only groups with disjoint pair-edge
-sets need their masks tested pair by pair, and on the family's own
-colorings no group pair does. The backward map is checked edge by edge over
-its source, the small Kneser graph K(l, r - t).
+by :func:`check_color_classes`: matchings whose forward images intersect
+share a pair edge, so inside a color class only groups with disjoint images
+need their masks tested pair by pair, and on the family's own colorings no
+group pair does. The backward map is checked edge by edge over its source,
+the small Kneser graph K(l, r - t).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial
+from functools import partial, reduce
+from itertools import chain, repeat
 from math import comb
-from typing import Any, Callable, Iterator, Sequence
+from operator import or_
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .coloring import ChiCertificate, chromatic_number, lovasz_chi
 from .errors import Deadline, KneserSizeError, ParameterError, Record, VerificationError, ensure_deadline
 from .families import FamilyParams, gap_graph
-from .graphs import Edge, Matching, MatchingView, decode_matching, mask_text
-from .kneser import capped_matchings, kneser_graph, r_subsets
+from .graphs import Edge, Matching, MatchingView, decode_matching, enumeration_key, mask_text
+from .kneser import capped_matchings, kneser_graph, r_subsets, shared_edges
 
 # Unused here, but kept bound: perfbench/spans.py wraps this attribute of this module.
 from .graphs import iter_matchings  # noqa: F401
@@ -160,25 +162,26 @@ def check_color_classes(
     color_keys: set[tuple[int, int]],
     masks: Sequence[int],
     coloring: Sequence[int],
-    key_bits: int,
+    keys: Iterable[int],
     deadline: Deadline,
 ) -> None:
     """Raise :class:`VerificationError` if a color class holds two edge-disjoint matchings.
 
-    ``masks[i]`` is the edge bitmask of a matching and ``coloring[i]`` its
-    color. Within a class the matchings fall into groups by their key
-    ``mask & key_bits``; ``color_keys`` is the set of (color, key) pairs of
-    all the matchings. Two matchings whose keys intersect share an edge,
-    so a pair of groups with intersecting keys -- a group with a non-zero
-    key paired with itself included -- holds no edge-disjoint pair. Only a
-    pair of groups with disjoint keys (a zero key paired with itself
-    included) is tested, mask against mask with ``not x & y``, up to the
-    first disjoint pair; the first such test groups all masks by
-    (color, key) in one pass. Without one the cost is the square of the
-    number of groups in each class. Classes are checked in increasing
-    color order, so the lowest improper color is the one named;
-    ``deadline`` is checked once per class, once per tested group pair and
-    once per member of that pair's first group.
+    ``masks[i]`` is the edge bitmask of a matching, ``coloring[i]`` its
+    color and the i-th item of ``keys`` its key: an int such that two
+    matchings whose keys intersect share an edge, as ``mask & bits`` or the
+    pair indices of the forward image are. Within a class the matchings
+    fall into groups by key; ``color_keys`` is the set of (color, key)
+    pairs of all the matchings. A pair of groups with intersecting keys --
+    a group with a non-zero key paired with itself included -- holds no
+    edge-disjoint pair. Only a pair of groups with disjoint keys (a zero
+    key paired with itself included) is tested, mask against mask with
+    ``not x & y``, up to the first disjoint pair; the first such test reads
+    ``keys`` and groups all masks by (color, key) in one pass. Without one
+    the cost is the square of the number of groups in each class. Classes
+    are checked in increasing color order, so the lowest improper color is
+    the one named; ``deadline`` is checked once per class, once per tested
+    group pair and once per member of that pair's first group.
     """
 
     stage = "pulled-back coloring check"
@@ -186,16 +189,16 @@ def check_color_classes(
     for color, key in sorted(color_keys):
         keys_of.setdefault(color, []).append(key)
     groups: dict[tuple[int, int], list[int]] = {}
-    for color, keys in keys_of.items():
+    for color, keys_in_class in keys_of.items():
         deadline.check(stage)
-        for i, a in enumerate(keys):
-            for b in keys[i:]:
+        for i, a in enumerate(keys_in_class):
+            for b in keys_in_class[i:]:
                 if a & b:
                     continue
                 deadline.check(stage)
                 if not groups:
-                    for c, mask in zip(coloring, masks):
-                        groups.setdefault((c, mask & key_bits), []).append(mask)
+                    for c, key, mask in zip(coloring, keys, masks):
+                        groups.setdefault((c, key), []).append(mask)
                 first, second = groups[color, a], groups[color, b]
                 for j, x in enumerate(first, 1):
                     deadline.check(stage)
@@ -226,23 +229,34 @@ def certify_family(
 ) -> FamilyCertification:
     """Certify chi = theta for the matching Kneser graph of ``gap_graph(params)``.
 
-    Steps: (a) solve the small Kneser graph K(l, r - t) exactly and cross-check
-    the closed form; (b) compute the forward map of every matching and check
-    that no color class of the pulled-back coloring holds two edge-disjoint
-    matchings, by :func:`check_color_classes` keyed on the pair edges;
+    Steps: (a) enumerate the r-matchings block by block and compute the
+    forward map of every matching; (b) solve the small Kneser graph
+    K(l, r - t) exactly, cross-check the closed form, and check that no
+    color class of the pulled-back coloring holds two edge-disjoint
+    matchings, by :func:`check_color_classes` keyed on the forward images;
     (c) verify the backward map on every edge of K(l, r - t), giving the
     matching lower bound. Every pair of matchings is covered, so
     ``pairs_checked`` is always n(n - 1)/2.
+
+    Step (a) goes block by block (:func:`~matchkneser.kneser.capped_matchings`):
+    the members of a block share r - 1 edges and add one top edge above
+    them. x_i y_i precedes x_j y_j in the host's edge list when i < j, so a
+    pair-edge top has a larger pair index than every shared pair edge; if
+    the shared edges hold r - t pair edges, their :func:`forward_map` image
+    and its color are those of every member. Other blocks map each member
+    from its own pair edges. :func:`forward_map` runs once per distinct set
+    of pair edges.
 
     The forward map needs no pair check of its own: the image of a matching
     consists of indices i whose edges x_i y_i lie in it, so two edge-disjoint
     matchings share no index and map to disjoint subsets, which are adjacent
     in K(l, r - t). :func:`forward_map` raising on no matching is the whole
-    proof. The same fact makes step (b) cheap: a color class of K(l, r - t)
-    holds no two disjoint subsets, so any two pair-edge sets in one pulled
-    class intersect and :func:`check_color_classes` never tests a pair of
-    masks. Any verification failure raises :class:`VerificationError`
-    -- it would mean a bug, not an ambiguous input.
+    proof. The same fact makes step (b) cheap: two matchings whose images
+    intersect share a pair edge, and a color class of K(l, r - t) holds no
+    two disjoint subsets, so any two images in one pulled class intersect
+    and :func:`check_color_classes` never tests a pair of masks. Any
+    verification failure raises :class:`VerificationError` -- it would mean
+    a bug, not an ambiguous input.
 
     An instance whose closed-form r-matching count
     (:attr:`FamilyParams.n_matchings`) exceeds ``cap`` is refused with
@@ -261,59 +275,75 @@ def certify_family(
             f"gap graph (r={p.r}, theta={p.theta}, gamma={p.gamma}) has {p.n_matchings} "
             f"r-matchings, more than the cap of {cap}"
         )
+    need = p.r - p.t
     G = gap_graph(p)
-    masks = tuple(capped_matchings(G, p.r, cap, deadline))
+    subsets = r_subsets(p.l, need)
+    subset_index = {s: i for i, s in enumerate(subsets)}
+    decode = partial(decode_matching, G.edges)
+    # A key is a set of pair edges as a mask: a block's shared one, or each
+    # member's ``mask & pair_bits``. The images are kept as runs (image,
+    # length), one per run of blocks with one shared key.
+    pair_edges = {p.x_edge(i) for i in range(1, p.l + 1)}
+    pair_bits = sum(1 << i for i, e in enumerate(G.edges) if e in pair_edges)
+    index_of = _KeyIndex(lambda key: subset_index[forward_map(decode(key), p)])
+    masks: list[int] = []
+    images: list[int] = []
+    lengths: list[int] = []
+    last = None  # the shared key of the last block, when it gave its whole block one image
+    for block in capped_matchings(G, p.r, cap, deadline):
+        masks += block
+        key = shared_edges(block) & pair_bits
+        if key == last:
+            lengths[-1] += len(block)
+        elif key.bit_count() >= need:
+            last = key
+            images.append(index_of[key])
+            lengths.append(len(block))
+        else:
+            last = None
+            images += map(index_of.__getitem__, map(pair_bits.__and__, block))
+            lengths += repeat(1, len(block))
     if len(masks) != p.n_matchings:
         raise VerificationError(
             f"enumerated {len(masks)} r-matchings, closed form gives {p.n_matchings}"
         )
+    masks = tuple(masks)
 
-    small = kneser_graph(p.l, p.r - p.t)
+    small = kneser_graph(p.l, need)
     small_cert = chromatic_number(small, deadline=deadline)
-    if small_cert.k != lovasz_chi(p.l, p.r - p.t):
+    if small_cert.k != lovasz_chi(p.l, need):
         raise VerificationError(
-            f"solver found chi(K({p.l},{p.r - p.t})) = {small_cert.k}, "
-            f"closed form gives {lovasz_chi(p.l, p.r - p.t)}"
+            f"solver found chi(K({p.l},{need})) = {small_cert.k}, "
+            f"closed form gives {lovasz_chi(p.l, need)}"
         )
     if small_cert.k != p.theta:
         raise VerificationError(
             f"target Kneser graph has chi = {small_cert.k}, expected theta = {p.theta}"
         )
-
-    subsets = r_subsets(p.l, p.r - p.t)
-    subset_index = {s: i for i, s in enumerate(subsets)}
-    decode = partial(decode_matching, G.edges)
-    # forward_map reads only the pair edges x_i y_i, so a matching's image
-    # depends only on its key ``mask & pair_bits``: it is computed once per
-    # key, on the key's decoded pair edges, when the key is first looked up.
-    # Keys are looked up in matching order, so it raises at the first
-    # matching it cannot map.
-    pair_edges = {p.x_edge(i) for i in range(1, p.l + 1)}
-    pair_bits = sum(1 << i for i, e in enumerate(G.edges) if e in pair_edges)
-    index_of = _KeyIndex(lambda key: subset_index[forward_map(decode(key), p)])
-    forward_idx = tuple(map(index_of.__getitem__, map(pair_bits.__and__, masks)))
     colors = small_cert.coloring
-    pulled_coloring = tuple(map(colors.__getitem__, forward_idx))
+    forward_idx = tuple(chain.from_iterable(map(repeat, images, lengths)))
+    pulled_coloring = tuple(chain.from_iterable(map(repeat, map(colors.__getitem__, images), lengths)))
 
-    # A matching's pulled color is a function of its key, so the distinct
-    # keys alone give the (color, key) set the class check reads.
-    color_keys = {(colors[i], key) for key, i in index_of.items()}
-    check_color_classes(color_keys, masks, pulled_coloring, pair_bits, deadline)
+    # The class check's keys: each image as a bitmask of its pair indices.
+    image_bits = [sum(1 << i for i in s) for s in subsets]
+    color_keys = {(colors[i], image_bits[i]) for i in set(images)}
+    check_color_classes(color_keys, masks, pulled_coloring, map(image_bits.__getitem__, forward_idx), deadline)
 
     # Backward homomorphism: every image is an r-matching of the host (found
-    # by bisection on the decoded masks, which come in canonical order,
-    # though not in integer order), round-trips through forward, and the map
-    # is injective; then each edge of ``small`` -- a pair of disjoint
-    # subsets, vertex ids in ``subsets`` order -- must map to edge-disjoint
-    # matchings.
+    # by bisection in enumeration order, not the integer order of the
+    # masks), round-trips through forward, and the map is injective; then
+    # each edge of ``small`` -- a pair of disjoint subsets, vertex ids in
+    # ``subsets`` order -- must map to edge-disjoint matchings.
+    bit_of = {e: 1 << i for i, e in enumerate(G.edges)}
     backward_images = []
-    for s in subsets:
+    for j, s in enumerate(subsets):
         deadline.check("backward map verification")
         image = backward_map(s, p)
-        i = bisect_left(masks, image, key=decode)
-        if i == len(masks) or decode(masks[i]) != image:
+        mask = reduce(or_, (bit_of.get(e, 0) for e in image), 0)
+        i = bisect_left(masks, enumeration_key(mask), key=enumeration_key)
+        if mask.bit_count() != len(image) or i == len(masks) or masks[i] != mask:
             raise VerificationError(f"backward image of {s} is not an r-matching of the host")
-        if forward_map(image, p) != s:
+        if forward_idx[i] != j:
             raise VerificationError(f"forward(backward({s})) round trip failed")
         backward_images.append(i)
     if len(set(backward_images)) != len(subsets):

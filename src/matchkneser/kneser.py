@@ -49,33 +49,40 @@ class MatchingKneserGraph(Record):
 
 def capped_matchings(
     G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_CAP, deadline: Deadline | None = None
-) -> list[int]:
-    """The r-matchings of G in canonical order, as edge-index bitmasks.
+) -> Iterator[list[int]]:
+    """The r-matchings of G in canonical order as edge-index bitmasks, in blocks.
 
-    Bit i of a mask stands for ``G.edges[i]``, so two matchings are
-    edge-disjoint exactly when their masks AND to zero, and
-    :func:`~matchkneser.graphs.decode_matching` gives a matching's edge
-    tuple. A mask is one int, 39 bytes on gap(5,3,1)'s 125 edges and 60 on
-    gap_tree(7, 1)'s 495, plus 8 for its list slot. Raises
-    :class:`KneserSizeError` as soon as a block of
-    :func:`~matchkneser.graphs.matching_blocks` (at most m matchings) takes
-    the count past ``cap``, and :class:`SearchTimeout` when ``deadline``,
-    checked once per block and inside the search, has expired.
-    Callers rely on the order: it is the Kneser vertex order, and
-    ``certify_family`` finds matchings by bisection on their decoded form.
+    A block of :func:`~matchkneser.graphs.matching_blocks` lists the
+    matchings that share their first r - 1 edges. Bit i of a mask stands for
+    ``G.edges[i]``, so two matchings are edge-disjoint exactly when their
+    masks AND to zero, and :func:`~matchkneser.graphs.decode_matching`
+    gives a matching's edge tuple. A mask is one int, 39 bytes on
+    gap(5,3,1)'s 125 edges and 60 on gap_tree(7, 1)'s 495. Raises
+    :class:`KneserSizeError` as soon as a block (at most m matchings) takes
+    the count past ``cap``, before yielding it, and :class:`SearchTimeout`
+    when ``deadline``, checked once per block and inside the search, has
+    expired. Callers rely on the order: it is the Kneser vertex order, and
+    ``certify_family`` finds matchings by bisection on it.
     """
 
     deadline = ensure_deadline(deadline, None)
-    masks: list[int] = []
+    count = 0
     for block in matching_blocks(G, r, deadline):
         deadline.check("r-matching enumeration")
-        masks += block
-        if len(masks) > cap:
+        count += len(block)
+        if count > cap:
             raise KneserSizeError(
                 f"matching Kneser graph of ({G.n} vertices, r={r}) has more than "
                 f"{cap} vertices (enumeration stopped at {cap + 1})"
             )
-    return masks
+        yield block
+
+
+def shared_edges(block: list[int]) -> int:
+    """The mask of the r - 1 edges every matching of a block holds."""
+
+    first = block[0]
+    return first ^ (1 << (first.bit_length() - 1))
 
 
 def build_matching_kneser(
@@ -86,32 +93,32 @@ def build_matching_kneser(
     Refuses with :class:`KneserSizeError` when the number of r-matchings
     exceeds ``cap``; enumeration is aborted as soon as the cap is crossed.
     Row i of the adjacency is the complement of the union, over the r edges
-    of matching i, of the masks of the matchings using that edge. A run of
-    consecutive matchings shares every edge but its top bit (a block of
-    :func:`~matchkneser.graphs.matching_blocks`), so the union over the
-    shared edges is taken once per run. The rows are kept whole and become
-    the graph's ``adj_masks``, so the edge list is decoded only if something
-    reads it. Their bytes are counted as they are made, and the construction
-    refuses with :class:`KneserSizeError` as soon as the total passes
+    of matching i, of the masks of the matchings using that edge. Each
+    block of :func:`capped_matchings` is a run of matchings that share
+    every edge but their top bit, so the union over the shared edges is
+    taken once per block. The rows are kept whole and become the graph's
+    ``adj_masks``, so the edge list is decoded only if something reads it.
+    Their bytes are counted as they are made, and the construction refuses
+    with :class:`KneserSizeError` as soon as the total passes
     :data:`KNESER_ROW_BYTES`. The enumeration checks ``deadline`` once per
     block and the row loop once per row; either raises
     :class:`SearchTimeout` when it has expired.
     """
 
     deadline = ensure_deadline(deadline, None)
-    masks = capped_matchings(G, r, cap, deadline)
-    n = len(masks)
-    tops = [mask.bit_length() - 1 for mask in masks]
-    # runs: (first matching, host edges shared by the run), ended by a sentinel.
+    masks: list[int] = []
+    tops: list[int] = []
+    # Host edges are numbered from 1 here, so that a mask's top edge is its bit length.
+    # runs: (first matching, host edges shared by the block), ended by a sentinel.
     runs: list[tuple[int, list[int]]] = []
-    last = -1
-    for i, (mask, top) in enumerate(zip(masks, tops)):
-        if mask ^ (1 << top) != last:
-            last = mask ^ (1 << top)
-            runs.append((i, list(_bit_positions(last, 0))))
+    for block in capped_matchings(G, r, cap, deadline):
+        runs.append((len(masks), list(_bit_positions(shared_edges(block), 1))))
+        masks += block
+        tops += map(int.bit_length, block)
+    n = len(masks)
     runs.append((n, []))
     # users[b]: the matchings that contain host edge b, as a mask over vertices.
-    users = [0] * G.m
+    users = [0] * (G.m + 1)
     for (start, shared), (end, _) in zip(runs, runs[1:]):
         for b in shared:
             users[b] |= ((1 << (end - start)) - 1) << start

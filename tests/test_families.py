@@ -35,6 +35,16 @@ def test_param_arithmetic():
     assert (p.t, p.l, p.w_count) == (2, 3, 9)
 
 
+def test_derived_params_are_cached_outside_the_record_fields():
+    p, q = FamilyParams(5, 3, 3), FamilyParams(5, 3, 3)
+    assert (p.t, p.l, p.w_count) == (1, 9, 135)
+    assert {"t", "l", "w_count"} <= vars(p).keys() and not {"t", "l", "w_count"} & vars(q).keys()
+    # Read or not, the derived values take no part in equality, hash or repr.
+    assert p == q and hash(p) == hash(q) == hash((5, 3, 3))
+    assert repr(p) == repr(q) == "FamilyParams(r=5, theta=3, gamma=3)"
+    assert p != FamilyParams(5, 2, 3)
+
+
 @pytest.mark.parametrize(
     "r, theta, gamma, message",
     [
@@ -83,7 +93,7 @@ def test_size_closed_forms(r, theta):
 def test_matching_count_agrees_with_the_oracle_and_enumeration(grid):
     params = FamilyParams(*grid)
     assert params.n_matchings == gap_matching_count(params)
-    assert params.n_matchings == len(capped_matchings(gap_graph(params), params.r))
+    assert params.n_matchings == sum(map(len, capped_matchings(gap_graph(params), params.r)))
 
 
 def test_matching_count_of_the_tree_sequence():

@@ -4,6 +4,7 @@ import random
 import time
 from dataclasses import FrozenInstanceError
 from functools import reduce
+from itertools import chain
 from operator import or_
 
 import pytest
@@ -33,12 +34,13 @@ from matchkneser.graphs import (
     _find_augmenting_path,
     decode_matching,
     edgelist_pieces,
+    enumeration_key,
     matching_blocks,
     maximum_mates,
     parse_edgelist,
 )
 from matchkneser.families import gap_graph, gap_tree, FamilyParams, matching_graph
-from matchkneser.kneser import capped_matchings
+from matchkneser.kneser import capped_matchings, shared_edges
 
 from helpers import (
     SURVEY_GRID,
@@ -140,10 +142,23 @@ def test_hashing_and_comparing_a_mask_built_graph_leaves_its_edges_undecoded():
     assert "edges" not in vars(H)
 
 
+def test_hashing_and_comparing_an_edge_built_graph_builds_no_masks():
+    # gap_tree(9, 3) has 24,362 vertices: its masks would take about 75 MB.
+    G, twin = gap_tree(9, 3), gap_tree(9, 3)
+    assert hash(G) == hash(twin) and G == twin
+    assert G != remove_edges(G, G.edges[-1:]) and G != make_graph(G.n, G.edges)
+    assert "adj_masks" not in vars(G) and "adj_masks" not in vars(twin)
+    small = gap_tree(4, 2)
+    copy = LabeledGraph(small.n, roles=small.roles, adj_masks=small.adj_masks)
+    assert copy == small and small == copy and hash(copy) == hash(small)
+
+
 def test_graphs_differ_when_any_part_differs():
     H = _from_masks(P4)
     assert H != _from_masks(make_graph(4, [(0, 1), (1, 2)]))
     assert H != _from_masks(make_graph(5, P4.edges))
+    star = make_graph(4, [(0, 1), (0, 2), (0, 3)])  # n and m of P4, other edges
+    assert P4 != star and H != _from_masks(star)
     assert H != LabeledGraph(4, roles=("x1", "y1", "", ""), adj_masks=H.adj_masks)
     assert H != P4.edges
 
@@ -283,19 +298,31 @@ def test_enumerate_matchings_examples():
         enumerate_matchings(P4, 0)
 
 
-def check_enumerator(G, r):
-    """capped_matchings decoded against the brute-force oracle, its masks, its cap, and first_matching."""
+def flat_masks(G, r, **kwargs):
+    """Every mask capped_matchings yields, its blocks joined."""
 
-    masks = capped_matchings(G, r)
+    return list(chain.from_iterable(capped_matchings(G, r, **kwargs)))
+
+
+def check_enumerator(G, r):
+    """capped_matchings decoded against the brute-force oracle, its masks, blocks and cap, and first_matching."""
+
+    blocks = list(capped_matchings(G, r))
+    masks = list(chain.from_iterable(blocks))
     matchings = [decode_matching(G.edges, mask) for mask in masks]
     assert matchings == brute_force_matchings(G, r)  # same matchings, same order
     bit = {e: 1 << i for i, e in enumerate(G.edges)}
     assert masks == [reduce(or_, (bit[e] for e in mt)) for mt in matchings]
+    keys = list(map(enumeration_key, masks))
+    assert keys == sorted(set(keys))  # the enumeration order, with no ties
+    for block in blocks:
+        # A block: one or more matchings that share all but their top edge.
+        assert block and all(mask ^ shared_edges(block) == 1 << (mask.bit_length() - 1) for mask in block)
     n = len(matchings)
-    assert capped_matchings(G, r, cap=n) == masks
+    assert list(capped_matchings(G, r, cap=n)) == blocks
     if n:
         with pytest.raises(KneserSizeError, match=rf"\(enumeration stopped at {n}\)$"):
-            capped_matchings(G, r, cap=n - 1)
+            list(capped_matchings(G, r, cap=n - 1))
         assert first_matching(G, r) == enumerate_matchings(G, r)[0]
     else:
         assert first_matching(G, r) is None
@@ -348,16 +375,16 @@ def test_enumerator_on_named_hosts(host, r):
 @pytest.mark.parametrize("n, count", [(5, 32), (7, 128), (9, 512)])
 def test_flower_snark_perfect_matchings(n, count):
     G = flower_snark(n)
-    masks = capped_matchings(G, 2 * n, deadline=Deadline(5))
+    masks = flat_masks(G, 2 * n, deadline=Deadline(5))
     assert len(masks) == count == count_matchings(G, 2 * n)
     for mask in masks:
         assert make_matching(G, decode_matching(G.edges, mask)) == decode_matching(G.edges, mask)
-    assert len(set(masks)) == count and not capped_matchings(G, 2 * n + 1)
+    assert len(set(masks)) == count and not flat_masks(G, 2 * n + 1)
 
 
 def test_flower_snark_one_below_perfect_matches_the_vertex_recursion():
     G = flower_snark(7)
-    masks = capped_matchings(G, 13)
+    masks = flat_masks(G, 13)
     assert len(masks) == count_matchings(G, 13) == 11_305
     decoded = [decode_matching(G.edges, mask) for mask in masks]
     assert decoded == sorted(set(decoded))
@@ -365,9 +392,9 @@ def test_flower_snark_one_below_perfect_matches_the_vertex_recursion():
 
 def test_enumeration_raises_once_its_deadline_has_passed():
     with pytest.raises(SearchTimeout, match="r-matching enumeration"):
-        capped_matchings(flower_snark(9), 18, deadline=Deadline(-1))
+        flat_masks(flower_snark(9), 18, deadline=Deadline(-1))
     with pytest.raises(SearchTimeout, match="r-matching enumeration"):
-        capped_matchings(petersen(), 5, deadline=Deadline(-1))
+        flat_masks(petersen(), 5, deadline=Deadline(-1))
 
 
 def test_a_dead_enumeration_still_honours_its_deadline():
@@ -379,7 +406,7 @@ def test_a_dead_enumeration_still_honours_its_deadline():
         next(matching_blocks(G, 12, CountingDeadline(limit=0)))
     started = time.perf_counter()
     with pytest.raises(SearchTimeout, match="r-matching enumeration"):
-        capped_matchings(G, 12, deadline=Deadline(0.05))
+        flat_masks(G, 12, deadline=Deadline(0.05))
     assert time.perf_counter() - started < 0.25
 
 

@@ -4,7 +4,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import pytest
@@ -31,7 +31,7 @@ from matchkneser import (
 )
 from matchkneser import homcert
 from matchkneser.coloring import check_coloring
-from matchkneser.graphs import MatchingView, write_lines
+from matchkneser.graphs import MatchingView, enumeration_key, write_lines
 from matchkneser.homcert import (
     CERTIFY_MATCHING_CAP,
     check_color_classes,
@@ -105,17 +105,70 @@ def test_forward_map_matches_pair_edge_scan(grid):
         assert _forward_outcome(forward_map, mt, params) == expected
 
 
-@pytest.mark.parametrize("grid", sorted(set(THEOREM2_GRID) | set(SURVEY_GRID)))
+# The radius-2 trees gap_tree(r, theta) for r <= 6, where a block topped by
+# a hub edge w_k z_1 is common; those with r <= 5 are on the survey grid.
+# gap_tree(6, 3), 221,760 matchings, would take about 5 s of the forward test.
+_TREES = [(r, theta, r - 2) for r in range(3, 7) for theta in (1, 2, 3) if (r, theta) != (6, 3)]
+
+
+@pytest.mark.parametrize(
+    "grid", sorted(set(THEOREM2_GRID) | set(SURVEY_GRID)) + [t for t in _TREES if t not in SURVEY_GRID]
+)
 def test_forward_witness_is_forward_map_of_every_matching(grid):
-    # certify_family calls forward_map once per pair-edge set; the witness
-    # must still be the map itself on every matching.
+    # certify_family calls forward_map once per pair-edge set, and gives a
+    # block whose shared edges hold r - t pair edges one image and one
+    # color; the witness must still be the map itself on every matching,
+    # and the pulled color the small color of its image.
     params = FamilyParams(*grid)
-    forward = certify_family(params).forward
+    certification = certify_family(params)
+    forward = certification.forward
     subsets = r_subsets(params.l, params.r - params.t)
     subset_index = {s: i for i, s in enumerate(subsets)}
     assert forward.target_desc == tuple(subsets)
     assert list(forward.source_desc) == enumerate_matchings(gap_graph(params), params.r)
     assert forward.mapping == tuple(subset_index[forward_map(mt, params)] for mt in forward.source_desc)
+    small = certification.kneser_certificate.coloring
+    assert certification.chi_certificate.coloring == tuple(small[i] for i in forward.mapping)
+
+
+@pytest.mark.parametrize("grid", sorted(set(SURVEY_GRID) | set(_TREES)))
+def test_enumeration_key_sorts_masks_as_they_are_enumerated(grid):
+    params = FamilyParams(*grid)
+    masks = _masks(gap_graph(params), params.r)
+    keys = list(map(enumeration_key, masks))
+    assert keys == sorted(set(keys))
+    if params.r > 3:
+        assert masks != sorted(masks)  # so bisection cannot use the masks themselves
+
+
+def test_certification_maps_each_key_once_and_decodes_no_probe(monkeypatch):
+    params = FamilyParams(5, 2, 1)
+    G = gap_graph(params)
+    subsets = r_subsets(params.l, params.r - params.t)
+    decoded, mapped, mapped_back = [], [], []
+    real_decode, real_forward, real_backward = homcert.decode_matching, homcert.forward_map, homcert.backward_map
+
+    def decode(edges, mask):
+        decoded.append(mask)
+        return real_decode(edges, mask)
+
+    def forward(matching, p):
+        mapped.append(matching)
+        return real_forward(matching, p)
+
+    def backward(subset, p):
+        mapped_back.append(subset)
+        return real_backward(subset, p)
+
+    monkeypatch.setattr(homcert, "decode_matching", decode)
+    monkeypatch.setattr(homcert, "forward_map", forward)
+    monkeypatch.setattr(homcert, "backward_map", backward)
+    certification = certify_family(params)
+    # Every decode is a key fill: pair edges only, each fed to forward_map once.
+    assert [real_decode(G.edges, mask) for mask in decoded] == mapped
+    assert all(mask & _pair_bits(G, params) == mask for mask in decoded)
+    assert len(set(mapped)) == len(mapped) < certification.n_matchings // 100
+    assert mapped_back == subsets
 
 
 def test_forward_map_failure_stops_certification(monkeypatch):
@@ -222,8 +275,9 @@ def test_backward_map_sharing_a_hub_edge_is_refused(monkeypatch):
         lambda image, p: image[:-1] + ((p.x_vertex(1), p.w_vertex(1)),),  # not a host edge
         lambda image, p: image[:-1] + ((p.x_vertex(1), p.z_vertex(1)),),  # meets x_1 y_1
         lambda image, p: image + ((p.x_vertex(p.l), p.y_vertex(p.l)),),  # r + 1 edges
+        lambda image, p: image + image[:1],  # r + 1 edges, one of them twice
     ],
-    ids=["short", "non-edge", "not-disjoint", "long"],
+    ids=["short", "non-edge", "not-disjoint", "long", "repeated"],
 )
 def test_backward_image_that_is_no_host_matching_is_refused(monkeypatch, spoil):
     # The lookup bisects the decoded masks; an image that is not among them
@@ -236,6 +290,20 @@ def test_backward_image_that_is_no_host_matching_is_refused(monkeypatch, spoil):
 
     monkeypatch.setattr(homcert, "backward_map", spoiled)
     with pytest.raises(VerificationError, match=r"backward image of \(1, 2\) is not an r-matching of the host"):
+        certify_family(FamilyParams(3, 2, 1))
+
+
+def test_backward_map_that_does_not_round_trip_is_refused(monkeypatch):
+    # The images of {1,2} and {1,3} swapped: still an injective map to host
+    # matchings, but forward(backward({1,2})) is {1,3}.
+    real = homcert.backward_map
+    swap = {(1, 2): (1, 3), (1, 3): (1, 2)}
+
+    def swapped(subset, p):
+        return real(swap.get(tuple(subset), subset), p)
+
+    monkeypatch.setattr(homcert, "backward_map", swapped)
+    with pytest.raises(VerificationError, match=r"forward\(backward\(\(1, 2\)\)\) round trip failed"):
         certify_family(FamilyParams(3, 2, 1))
 
 
@@ -308,7 +376,10 @@ def test_certify_checks_the_enumeration_against_the_closed_form(monkeypatch):
     real = homcert.capped_matchings
 
     def one_short(G, r, cap, deadline):
-        return real(G, r, cap, deadline)[:-1]
+        # The blocks as enumerated, less the last matching of the last block.
+        blocks = list(real(G, r, cap, deadline))
+        blocks[-1] = blocks[-1][:-1]
+        return filter(None, blocks)
 
     monkeypatch.setattr(homcert, "capped_matchings", one_short)
     with pytest.raises(VerificationError, match="closed form"):
@@ -367,16 +438,22 @@ def test_matching_witnesses_decode_on_read_and_hash_on_masks(monkeypatch):
     assert len(view) == certification.n_matchings
 
 
+def _masks(G, r):
+    """Every mask capped_matchings yields, its blocks joined."""
+
+    return list(chain.from_iterable(capped_matchings(G, r, CERTIFY_MATCHING_CAP)))
+
+
 def _pair_bits(G, params):
     pair_edges = {params.x_edge(i) for i in range(1, params.l + 1)}
     return sum(1 << i for i, e in enumerate(G.edges) if e in pair_edges)
 
 
 def _check_classes(masks, coloring, key_bits, deadline):
-    """check_color_classes on the (color, key) set of every matching."""
+    """check_color_classes keyed on ``mask & key_bits`` (or on a list of keys), with every (color, key) pair."""
 
-    color_keys = set(zip(coloring, (mask & key_bits for mask in masks)))
-    check_color_classes(color_keys, masks, coloring, key_bits, deadline)
+    keys = key_bits if isinstance(key_bits, list) else [mask & key_bits for mask in masks]
+    check_color_classes(set(zip(coloring, keys)), masks, coloring, keys, deadline)
 
 
 def _improper_class(masks, coloring, key_bits, deadline=None):
@@ -407,10 +484,14 @@ _SMALL_HOSTS = sorted(set(THEOREM2_GRID) | {(4, 2, 1), (4, 3, 2), (5, 1, 3)})
 def test_check_color_classes_matches_pairwise_oracle(grid):
     params = FamilyParams(*grid)
     G = gap_graph(params)
-    masks = capped_matchings(G, params.r)
+    masks = _masks(G, params.r)
     matchings = enumerate_matchings(G, params.r)
     pair_bits = _pair_bits(G, params)
-    pulled = certify_family(params).chi_certificate.coloring
+    certification = certify_family(params)
+    pulled = certification.chi_certificate.coloring
+    # certify_family's own keys: the pair indices of each matching's forward image.
+    subsets = certification.forward.target_desc
+    image_keys = [sum(1 << i for i in subsets[j]) for j in certification.forward.mapping]
     rng = random.Random(repr(grid))
     colorings = [list(pulled)]
     colorings += [[rng.randrange(k) for _ in matchings] for k in (1, 2, 3, len(matchings) // 3)]
@@ -425,7 +506,7 @@ def test_check_color_classes_matches_pairwise_oracle(grid):
     for coloring in colorings:
         expected = _improper_class_oracle(matchings, coloring)
         outcomes.add(expected is None)
-        for key_bits in (pair_bits, 0, (1 << G.m) - 1):
+        for key_bits in (pair_bits, 0, (1 << G.m) - 1, image_keys):
             assert _improper_class(masks, coloring, key_bits) == expected
     assert outcomes == {True, False} or params.theta == 1
 
@@ -435,7 +516,7 @@ def test_disjoint_key_groups_meeting_at_a_hub_edge_are_accepted():
     # {x1y1, x2y2} and {x3y3, x4y4}, but every matching uses the hub edge w1 z1.
     p = FamilyParams(3, 2, 1)
     G = gap_graph(p)
-    masks = capped_matchings(G, p.r)
+    masks = _masks(G, p.r)
     matchings = enumerate_matchings(G, p.r)
     hub = (p.w_vertex(1), p.z_vertex(1))
     a = tuple(sorted([p.x_edge(1), p.x_edge(2), hub]))
@@ -455,7 +536,7 @@ def test_disjoint_key_groups_meeting_at_a_hub_edge_are_accepted():
 def test_a_truly_disjoint_pair_is_rejected_naming_its_color():
     p = FamilyParams(3, 2, 1)
     G = gap_graph(p)
-    masks = capped_matchings(G, p.r)
+    masks = _masks(G, p.r)
     matchings = enumerate_matchings(G, p.r)
     coloring = list(certify_family(p).chi_certificate.coloring)
     _check_classes(masks, coloring, _pair_bits(G, p), Deadline(None))
@@ -512,7 +593,7 @@ def _plant_disjoint_pair(params, matchings, coloring, color):
 def test_star_coloring_agrees_with_pairwise_oracle():
     params = FamilyParams(5, 2, 3)  # gap_tree(5, 2)
     G = gap_graph(params)
-    masks = capped_matchings(G, params.r)
+    masks = _masks(G, params.r)
     matchings = enumerate_matchings(G, params.r)
     star = _star_coloring(G, params, masks)
     planted = _plant_disjoint_pair(params, matchings, star, G.m + 1)
@@ -528,7 +609,7 @@ def test_star_coloring_of_a_large_tree_is_checked_in_time():
     # group pairs with disjoint keys, each tested on its masks alone.
     params = FamilyParams(6, 2, 4)
     G = gap_graph(params)
-    masks = capped_matchings(G, params.r)
+    masks = _masks(G, params.r)
     matchings = enumerate_matchings(G, params.r)
     pair_bits = _pair_bits(G, params)
     star = _star_coloring(G, params, masks)
