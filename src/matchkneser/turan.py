@@ -12,13 +12,21 @@ with its size nu. The adjacency holds only the vertices that edges touch, so
 a few edges among a million vertices reach the deadline check at once.
 Deleting a matched edge lowers nu by at most one, and ``repair_matching``
 restores maximality with at most two augmenting-path searches. The same
-fact gives the bound: at least nu - r + 1 more deletions are needed, so a
-node is pruned once ``|removed| + nu - r + 1`` exceeds the best size found.
+fact gives one bound: at least nu - r + 1 more deletions are needed. The
+other is by degree (Chvátal and Hanson, JCTB 20, 1976): a graph with
+nu < r and maximum degree at most Delta has at most f(r - 1, Delta)
+edges, so at least |E(G)| - f(r - 1, Delta) deletions in all, Delta being
+the current maximum degree, kept by a degree histogram. A node is pruned
+once the larger bound exceeds the best size found.
 A node whose bound equals it can only tie, and is pruned too unless its
 removed edges plus the smallest edges it may still delete sort below the
-best set. Branch i deletes the i-th branching edge and freezes the edges
-before it (they may not be deleted below), so no deletion set is reached
-twice and no memo of visited sets is needed.
+best set. If the nu bound is tight, each of the nu - r + 1 deletions of a
+tie must lower nu, so each edge lies in every maximum matching: the
+smallest candidates are the unfrozen edges of the current matching, and
+too few of them prune the node. Otherwise they are all unfrozen edges.
+Branch i deletes the i-th branching edge and freezes the edges before it
+(they may not be deleted below), so no deletion set is reached twice and
+no memo of visited sets is needed.
 
 The search does not recurse. It is one loop over an explicit trail, one
 entry per node on the current path, so the depth is bounded by memory, not
@@ -65,6 +73,16 @@ class DeletionCertificate(Record):
         }
 
 
+def max_edge_count(nu: int, delta: int) -> int:
+    """f(nu, delta): the most edges of a graph with matching number at most nu and maximum degree delta >= 1.
+
+    Chvátal and Hanson's bound (*Degrees and matchings*, JCTB 20, 1976) in
+    the closed form of Balachandran and Khare (Discrete Math. 309, 2009).
+    """
+
+    return nu * delta + delta // 2 * (nu // ((delta + 1) // 2))
+
+
 def min_deletion_set(
     G: LabeledGraph,
     r: int,
@@ -74,10 +92,14 @@ def min_deletion_set(
     """A minimum edge set whose removal leaves G without any r-matching.
 
     Deterministic: ties between equally small deletion sets resolve to the
-    lexicographically least one. A node that can only tie with the best set
-    is entered only while the least set it could reach sorts below it, so
-    neither bound cuts the lexicographically least optimum. Depth never
-    exceeds the optimum, so the search is cheap whenever the answer is.
+    lexicographically least one. A node is bounded by nu - r + 1 more
+    deletions and by |E(G)| - :func:`max_edge_count` (r - 1, Delta) in all.
+    A node that can only tie with the best set is entered only while the
+    least set it could reach sorts below it; under a tight nu bound that set
+    is drawn from the current maximum matching alone, as every deletion of
+    a tie must lower nu. So no bound cuts the lexicographically least
+    optimum. Depth never exceeds the optimum, so the search is cheap
+    whenever the answer is.
     A given ``deadline`` bounds the search and ``time_budget`` is then
     ignored; without one, the search gets ``time_budget`` seconds.
     """
@@ -91,6 +113,13 @@ def min_deletion_set(
         return DeletionCertificate(r=r, deleted=(), size=0, optimal=True)
 
     adj = neighbor_lists(G)
+    # How many vertices have each degree; a deletion lowers delta by at most one.
+    delta = max(map(len, adj))
+    degree_count = [0] * (delta + 1)
+    for a in adj:
+        degree_count[len(a)] += 1
+    # The degree bound by delta; a node with nu >= r has delta >= 1.
+    degree_floor = [G.m] + [G.m - max_edge_count(r - 1, d) for d in range(1, delta + 1)]
     frozen: set[Edge] = set()
     removed: list[Edge] = []
     # Deleting everything is always valid, which seeds the bound.
@@ -109,15 +138,24 @@ def min_deletion_set(
                 best_size = len(candidate)
                 best_set = candidate
         else:
-            bound = len(removed) + nu - r + 1
+            nu_bound = len(removed) + nu - r + 1
+            bound = max(nu_bound, degree_floor[delta])
             expand = bound < best_size
             if bound == best_size:
                 # Only a tie can come of this node: exactly best_size - |removed|
-                # more deletable edges. Taking the smallest of them bounds every
-                # such set element-wise, hence lexicographically, from below.
-                skip = frozen.union(removed)
-                fill = islice((e for e in G.edges if e not in skip), best_size - len(removed))
-                expand = tuple(sorted(removed + list(fill))) < best_set
+                # more deletable edges. Taking the smallest candidates bounds
+                # every such set element-wise, hence lexicographically, from
+                # below; with too few candidates there is no such set.
+                if nu_bound == best_size:
+                    # Each deletion must lower nu, so it is an edge of mate's
+                    # matching; removed edges are never matched.
+                    candidates = (e for e in G.edges if mate[e[0]] == e[1] and e not in frozen)
+                else:
+                    skip = frozen.union(removed)
+                    candidates = (e for e in G.edges if e not in skip)
+                want = best_size - len(removed)
+                fill = list(islice(candidates, want))
+                expand = len(fill) == want and tuple(sorted(removed + fill)) < best_set
         if expand:
             # Any r edges of the maximum matching form an r-matching that a
             # valid set must meet. Matched frozen edges count towards the r
@@ -134,6 +172,12 @@ def min_deletion_set(
                 u, v = removed.pop()
                 insort(adj[u], v)
                 insort(adj[v], u)
+                for w in u, v:
+                    d = len(adj[w])
+                    degree_count[d - 1] -= 1
+                    degree_count[d] += 1
+                    if d > delta:
+                        delta = d
                 for w, old in reversed(log):
                     mate[w] = old
                 log.clear()
@@ -143,6 +187,12 @@ def min_deletion_set(
                 u, v = branching[taken]
                 adj[u].remove(v)
                 adj[v].remove(u)
+                for w in u, v:
+                    d = len(adj[w])
+                    degree_count[d + 1] -= 1
+                    degree_count[d] += 1
+                if not degree_count[delta]:
+                    delta -= 1
                 removed.append((u, v))
                 nu = node_nu - repair_matching(adj, mate, u, v, log)
                 break
@@ -158,12 +208,14 @@ def optimal_deletion_set(G: LabeledGraph, r: int, deadline: Deadline | None = No
     """:func:`min_deletion_set`, proven optimal.
 
     Raises :class:`SearchTimeout` rather than returning an unproven set. Its
-    message brackets the optimum between nu(G) - r + 1 and the best set found.
+    message brackets the optimum between the search's root bound and the
+    best set found.
     """
 
     cert = min_deletion_set(G, r, deadline=deadline)
     if not cert.optimal:
-        lower = matching_number(G) - r + 1
+        delta = max(map(len, neighbor_lists(G)))
+        lower = max(matching_number(G) - r + 1, G.m - max_edge_count(r - 1, delta))
         raise SearchTimeout(
             f"minimum deletion search for r={r} timed out; optimum in [{lower}, {cert.size}]"
         )

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -26,11 +27,32 @@ from matchkneser import (
 )
 from matchkneser import verify
 from matchkneser.graphs import maximum_mates, repair_matching
+from matchkneser.turan import max_edge_count
 from matchkneser.verify import naive_max_free_edge_count, naive_min_deletion_size
 
 from helpers import graphs
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+K5 = make_graph(5, list(combinations(range(5), 2)))
+
+
+def _atlas(max_n):
+    """Every graph of networkx's atlas with 1 to ``max_n`` vertices."""
+
+    return [
+        make_graph(g.number_of_nodes(), g.edges())
+        for g in nx.graph_atlas_g()
+        if 1 <= g.number_of_nodes() <= max_n
+    ]
+
+
+def _least_deletion_set(G, r):
+    """The first edge set, in ``combinations(G.edges, size)`` order of the fewest edges, that leaves nu < r."""
+
+    for size in range(G.m + 1):
+        for combo in combinations(G.edges, size):
+            if matching_number(remove_edges(G, combo)) < r:
+                return combo
 
 
 def test_independent_matching_deletion():
@@ -58,6 +80,55 @@ def test_petersen_deletion():
     assert cert.size == 3 and cert.optimal
     assert cert.deleted == ((0, 1), (0, 4), (0, 5))  # isolates vertex 0
     assert generalized_turan(petersen(), 5) == 12
+
+
+def test_every_small_atlas_graph_gets_the_least_optimum_at_every_r():
+    # 486 (graph, r) instances: every atlas graph on 1..6 vertices, 1 <= r <= nu.
+    instances = [(G, r) for G in _atlas(6) for r in range(1, matching_number(G) + 1)]
+    assert len(instances) == 486
+    for G, r in instances:
+        cert = min_deletion_set(G, r)
+        assert cert.optimal
+        assert cert.deleted == _least_deletion_set(G, r), (G.edges, r)
+
+
+@pytest.mark.parametrize(
+    "G, deleted",
+    [
+        # Only the degree bound, 10 - f(1, 4) = 6, is tight at the root. The
+        # optimum deletes the six edges of K4 on 0..3 and keeps the star at
+        # 4; no matching holds six edges, so a fill drawn from the matching
+        # misses it.
+        (K5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+        (make_graph(6, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 5), (2, 3), (3, 4)]), ((0, 1), (0, 4), (1, 5), (3, 4))),
+    ],
+    ids=["K5", "six-vertex"],
+)
+def test_a_tie_only_the_degree_bound_makes_draws_from_every_edge(G, deleted):
+    cert = min_deletion_set(G, 2)
+    assert cert.optimal and cert.deleted == deleted == _least_deletion_set(G, 2)
+
+
+def test_edge_count_bound_holds_on_every_atlas_graph_up_to_seven_vertices():
+    for G in _atlas(7):
+        delta = max(map(len, G.adj))
+        if delta:
+            assert G.m <= max_edge_count(matching_number(G), delta), G.edges
+
+
+@pytest.mark.parametrize(
+    "G, nu, delta",
+    [
+        (K5, 2, 4),
+        (make_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]), 2, 2),
+        (matching_graph(4), 4, 1),
+        *((make_graph(d + 1, [(0, v) for v in range(1, d + 1)]), 1, d) for d in (1, 3, 4, 7)),
+    ],
+    ids=["K5", "two-triangles", "4K2", "K1,1", "K1,3", "K1,4", "K1,7"],
+)
+def test_edge_count_bound_is_tight(G, nu, delta):
+    assert (matching_number(G), max(map(len, G.adj))) == (nu, delta)
+    assert max_edge_count(nu, delta) == G.m
 
 
 def test_deletion_domain():
@@ -137,6 +208,14 @@ def test_timeout_message_brackets_the_optimum():
         generalized_turan(petersen(), 5, deadline=Deadline(-1.0))
 
 
+def test_timeout_message_brackets_the_optimum_with_the_degree_bound():
+    # nu(P1000) = 500 gives only 499, but a path keeping at most f(1, 2) = 3
+    # edges loses at least 996 of its 999; the optimum keeps two, D = 997.
+    path = make_graph(1000, [(v, v + 1) for v in range(999)])
+    with pytest.raises(SearchTimeout, match=r"optimum in \[996, 999\]"):
+        generalized_turan(path, 2, deadline=Deadline(-1.0))
+
+
 def test_certificate_json_schema():
     payload = min_deletion_set(P4, 2).to_json_dict()
     assert payload == {"r": 2, "deleted": [[0, 1]], "size": 1, "optimal": True}
@@ -183,10 +262,10 @@ class NodeCountingDeadline(Deadline):
     "G, r, nodes",
     [
         (petersen(), 5, 33),
-        (gap_tree(5, 1), 5, 61),
-        (gap_tree(7, 1), 7, 799),
-        (gap_tree(6, 3), 6, 930),
-        (gap_graph(FamilyParams(r=4, theta=2, gamma=2)), 4, 39),
+        (gap_tree(5, 1), 5, 21),
+        (gap_tree(7, 1), 7, 43),
+        (gap_tree(6, 3), 6, 43),
+        (gap_graph(FamilyParams(r=4, theta=2, gamma=2)), 4, 17),
         (matching_graph(10), 3, 25),
     ],
     ids=["petersen-5", "tree-5-1", "tree-7-1", "tree-6-3", "gap-4-2-2", "10K2-3"],
@@ -197,7 +276,7 @@ def test_search_enters_a_pinned_number_of_nodes(G, r, nodes):
     assert deadline.nodes == nodes
 
 
-@pytest.mark.parametrize("limit", [0, 1, 50, 400, 798])
+@pytest.mark.parametrize("limit", [0, 1, 10, 21, 42])
 def test_search_stopped_after_some_nodes_still_returns_a_valid_set(limit):
     G = gap_tree(7, 1)
     deadline = NodeCountingDeadline(limit)
