@@ -21,9 +21,12 @@ gets a trail entry: its index, the colors in use before it, and the
 uncolored set, levels and seen sets as they were, so changing its color
 restores them with two list assignments. Forced vertices are never retried,
 since their one color has no alternative. A coloring is a dead end when it
-takes a top-level vertex's last color, or when it moves some vertex into the
-top level and, for some f, the lowest vertex left only f has a neighbor left
-only f.
+takes a top-level vertex's last color. Two adjacent vertices left only f
+need no test of their own: both stay in the top level until one of them is
+colored, and the top level is emptied before any branch is picked, so the
+chain colors one of them f and the other then loses its last color. A test
+for such a pair would save only forced colorings, never a branch, and would
+cost a loop over the k colors whenever a vertex reached the top level.
 
 A branch is final, and is backed out of without trying its other colors,
 when its coloring and the forced colorings after it end with no dead end and
@@ -34,18 +37,18 @@ colored and took no color from any other vertex, so any completion of the
 branch's node, recolored to agree with them, completes the current state,
 which the subtree searches in full.
 
-Both cuts remove only subtrees that hold no coloring and leave the order of
+The cut removes only subtrees that hold no coloring and leaves the order of
 the other colorings as it was, so the first coloring found and every proven
-"no" are those of the search without them. Refuting 7 colors on K(10,2)
-takes 5,149 colorings, 1,858 of them branches; without the autarky cut it
-took 13,649, and with one node per colored vertex and neither cut 26,798
-nodes. K(11,2) at k = 8 takes 23,636 colorings, not 176,218, and ten
-isolated vertices before a K4 take 15 at k = 3, not 103,341: each isolated
-vertex is final, so the K4 is refuted once. The search is one loop over
-the trail: it never recurses and changes no process-wide state. It checks
-its deadline once every ``_DEADLINE_STRIDE`` colorings, forced or not, and
-a timeout raises :class:`SearchTimeout` naming how many colorings it made,
-so that an "unknown" can never masquerade as a proven "no".
+"no" are those of the search without it. Refuting 7 colors on K(10,2)
+takes 9,016 colorings, 1,858 of them branches; without the cut it takes
+26,797 colorings, 3,592 of them branches. K(11,2) at k = 8 takes 35,898
+colorings, not 313,615, and ten isolated vertices before a K4 take 18 at
+k = 3, not 162,390: each isolated vertex is final, so the K4 is refuted
+once. The search is one loop over the trail: it never recurses and changes
+no process-wide state. It checks its deadline once every
+``_DEADLINE_STRIDE`` colorings, forced or not, and a timeout raises
+:class:`SearchTimeout` naming how many colorings it made, so that an
+"unknown" can never masquerade as a proven "no".
 """
 
 from __future__ import annotations
@@ -263,21 +266,6 @@ def _search_k_coloring(n: int, adj: tuple[int, ...], k: int, deadline: Deadline)
                 if not rest:
                     break
             t -= 1
-        # A vertex in the top level has one color left, the f with no bit in
-        # seen[f]. If the lowest vertex left only f has a neighbor left only
-        # f, no k-coloring completes this node either. A class gains vertices
-        # only when a coloring moves some up into the top level.
-        last = level[top]
-        if last & new:
-            for mask in seen:
-                forced = last & ~mask
-                if forced:
-                    if adj[(forced & -forced).bit_length() - 1] & forced:
-                        dead = True
-                        break
-                    last ^= forced
-                    if not last:
-                        break
 
 
 def is_k_colorable(

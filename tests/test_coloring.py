@@ -179,16 +179,18 @@ def test_search_leaves_the_recursion_limit_alone():
 @pytest.mark.parametrize(
     "name, k, colorings",
     [
-        # 1,858 of the colorings branch. Without the autarky cut the search
-        # made 13,649 colorings, 3,592 of them branches; with a node per
-        # colored vertex and neither cut, 26,798 nodes.
-        ("K(10,2)", 7, 5149),
-        ("K(9,3)", 4, 1274),  # 272 branch; 1,434 without the autarky cut, 2,117 nodes with neither
-        ("K(11,2)", 8, 23636),  # 8,380 branch; 176,218 without the autarky cut
-        ("gap(3,5,1)", 4, 1057),  # 341 branch; 1,981 without the autarky cut, 4,376 nodes with neither
+        # 1,858 of the colorings branch; without the autarky cut the search
+        # makes 26,797 colorings, 3,592 of them branches. The branch counts
+        # of all five rows are the same as when the search also tested two
+        # adjacent vertices left the same last color, a test that saved
+        # only forced colorings (5,149 colorings here).
+        ("K(10,2)", 7, 9016),
+        ("K(9,3)", 4, 1724),  # 272 branch; 2,116 colorings without the autarky cut
+        ("K(11,2)", 8, 35898),  # 8,380 branch; 313,615 colorings without the autarky cut
+        ("gap(3,5,1)", 4, 1757),  # 341 branch; 4,375 colorings without the autarky cut
         # Each isolated vertex is a final branch, so the K4 is refuted once,
-        # not once per coloring of the ten: 103,341 without the autarky cut.
-        ("10K1+K4", 3, 15),
+        # not once per coloring of the ten: 162,390 without the autarky cut.
+        ("10K1+K4", 3, 18),
     ],
 )
 def test_refutation_node_counts(monkeypatch, name, k, colorings):
@@ -234,17 +236,26 @@ def test_search_memory_stays_small():
 @pytest.mark.slow
 def test_petersen_at_r3_has_chi_nine_by_exhaustion():
     # 145 vertices and a greedy clique of 4: only refuting 8 colors shows
-    # chi = 9 = D. About 9 s; 254 s without the autarky cut.
+    # chi = 9 = D. About 5 s; 254 s before the autarky cut.
     cert = chromatic_number(build_matching_kneser(petersen(), 3).graph)
     assert cert.k == 9 and cert.witness.kind == "EXHAUSTION"
 
 
 @pytest.mark.slow
 def test_p12_at_r3_has_chi_seven():
-    # The 6-coloring search of KG(P12, 3K2) takes about 25 s; without the
+    # The 6-coloring search of KG(P12, 3K2) takes about 15 s; before the
     # autarky cut it was still open after 120 s.
     path = make_graph(12, [(i, i + 1) for i in range(11)])
     assert chromatic_number(build_matching_kneser(path, 3).graph).k == 7
+
+
+@pytest.mark.slow
+def test_p12_at_r4_has_chi_five_by_exhaustion():
+    # 70 vertices and a greedy clique of 2: only refuting 4 colors shows
+    # chi = 5. About 17 s.
+    path = make_graph(12, [(i, i + 1) for i in range(11)])
+    cert = chromatic_number(build_matching_kneser(path, 4).graph)
+    assert cert.k == 5 and cert.witness.kind == "EXHAUSTION"
 
 
 def test_chromatic_number_timeout_says_how_far_it_got():
@@ -349,8 +360,8 @@ def test_search_matches_the_reference_on_small_graphs(G):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_search_matches_the_reference_on_larger_random_graphs(seed):
-    # The hypothesis test above stops at 12 vertices. On these graphs of 13
-    # to 20 the forced-color cut fires in about half the searches.
+    # The hypothesis test above stops at 12 vertices; these graphs have 13
+    # to 20.
     rng = random.Random(seed)
     for _ in range(40):
         n = rng.randint(13, 20)
