@@ -43,7 +43,6 @@ _DEADLINE_STRIDE = 1024  # enumeration branches between deadline checks
 # Edge lines per piece of text when a held edge list is written: a row per
 # lower endpoint would be a piece per edge on a tree, five times slower.
 _PIECE_EDGES = 1024
-_SWAP_DIGITS = str.maketrans("01", "10")
 
 
 class LabeledGraph:
@@ -277,6 +276,13 @@ def matching_blocks(G: LabeledGraph, r: int, deadline: Deadline | None = None) -
     the non-empty run of matchings that share their first r - 1 edges:
     their masks differ only in the top bit, the last edge added.
 
+    A block is its shared edges OR-ed with each single bit of the last
+    level's remainder, ``avail & later[i]``. Few distinct remainders occur
+    (133 over gap(5,2,1)'s 9,373 blocks), so each call keeps a dict from
+    remainder to its bits, lowest first, filled on the first sight of each
+    and dropped with the generator. It holds no more ints than the masks
+    already yielded, which every caller keeps; each block is a new list.
+
     A branch that still needs k >= 3 edges is cut as soon as its available
     edges fail one of four counts that k pairwise disjoint edges pass:
     k edges, k distinct lower endpoints, k distinct upper endpoints and 2k
@@ -327,6 +333,7 @@ def matching_blocks(G: LabeledGraph, r: int, deadline: Deadline | None = None) -
         )
 
     branches = 0
+    split: dict[int, list[int]] = {}  # last-level remainder -> its single bits, lowest first
 
     def grow(mask: int, avail: int, need: int) -> Iterator[list[int]]:
         # need >= 2; ``avail`` holds at least ``need`` edges.
@@ -341,13 +348,15 @@ def matching_blocks(G: LabeledGraph, r: int, deadline: Deadline | None = None) -
                 avail ^= low
                 rest = avail & later[low.bit_length() - 1]
                 if rest:
+                    bits = split.get(rest)
+                    if bits is None:
+                        bits = split[rest] = []
+                        while rest:
+                            bit = rest & -rest
+                            rest ^= bit
+                            bits.append(bit)
                     base = mask | low
-                    block: list[int] = []
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        block.append(base | bit)
-                    yield block
+                    yield [base | bit for bit in bits]
             return
         while room(avail, need):
             low = avail & -avail
@@ -356,11 +365,16 @@ def matching_blocks(G: LabeledGraph, r: int, deadline: Deadline | None = None) -
             if rest.bit_count() >= need - 1:
                 yield from grow(mask | low, rest, need - 1)
 
-    if r == 1:
-        if m:
-            yield [1 << i for i in range(m)]
-    elif m >= r:
-        yield from grow(0, full, r)
+    try:
+        if r == 1:
+            if m:
+                yield [1 << i for i in range(m)]
+        elif m >= r:
+            yield from grow(0, full, r)
+    finally:
+        # ``grow`` reaches itself through its closure: a cycle that would
+        # keep the memo and the edge masks until a full garbage collection.
+        del grow
 
 
 def decode_matching(edges: tuple[Edge, ...], mask: int) -> Matching:
@@ -373,15 +387,26 @@ def decode_matching(edges: tuple[Edge, ...], mask: int) -> Matching:
     return tuple(map(edges.__getitem__, _bit_positions(mask, 0)))
 
 
-def enumeration_key(mask: int) -> str:
-    """A sort key ordering masks of one size as :func:`matching_blocks` yields them.
+def enumeration_index(masks: Sequence[int], mask: int) -> int | None:
+    """The index of ``mask`` in ``masks``, or None if it is not there.
 
-    The binary digits, lowest first, with 0 and 1 swapped: of two masks,
-    the one holding the lowest differing bit comes first, as its edge tuple
-    does.
+    ``masks`` holds masks of one size in the order :func:`matching_blocks`
+    yields them, which is not their integer order, and the search bisects
+    on that order: of two masks, the one holding their lowest differing bit
+    comes first, as its edge tuple does. So ``x`` comes before ``mask``
+    exactly when ``x & d & -d`` is non-zero, ``d = x ^ mask``.
     """
 
-    return bin(mask)[:1:-1].translate(_SWAP_DIGITS)
+    lo, hi = 0, len(masks)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        x = masks[mid]
+        d = x ^ mask
+        if x & d & -d:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo < len(masks) and masks[lo] == mask else None
 
 
 def edge_text(edge: Edge) -> str:

@@ -24,7 +24,6 @@ the small Kneser graph K(l, r - t).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import partial, reduce
 from itertools import chain, repeat
 from math import comb
@@ -34,7 +33,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .coloring import ChiCertificate, chromatic_number, lovasz_chi
 from .errors import Deadline, KneserSizeError, ParameterError, Record, VerificationError, ensure_deadline
 from .families import FamilyParams, gap_graph
-from .graphs import Edge, Matching, MatchingView, decode_matching, enumeration_key, mask_text
+from .graphs import Edge, Matching, MatchingView, decode_matching, enumeration_index, mask_text
 from .kneser import capped_matchings, kneser_graph, r_subsets, shared_edges
 
 # Unused here, but kept bound: perfbench/spans.py wraps this attribute of this module.
@@ -340,8 +339,8 @@ def certify_family(
         deadline.check("backward map verification")
         image = backward_map(s, p)
         mask = reduce(or_, (bit_of.get(e, 0) for e in image), 0)
-        i = bisect_left(masks, enumeration_key(mask), key=enumeration_key)
-        if mask.bit_count() != len(image) or i == len(masks) or masks[i] != mask:
+        i = enumeration_index(masks, mask)
+        if mask.bit_count() != len(image) or i is None:
             raise VerificationError(f"backward image of {s} is not an r-matching of the host")
         if forward_idx[i] != j:
             raise VerificationError(f"forward(backward({s})) round trip failed")

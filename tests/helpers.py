@@ -4,10 +4,13 @@ Nothing in here shares code with the solvers under test: matchings are found
 by filtering raw edge subsets, and a matching or a homomorphism map is
 validated edge by edge against the host; chromatic numbers come from
 exhaustive color assignment, isomorphism from backtracking over vertex
-bijections. The one reference that is not brute force,
-``reference_k_coloring``, is the k-coloring search as it stood before it
-moved to saturation-level bitsets, kept to pin the new search to the same
-branching order.
+bijections. The two references that are not brute force pin a faster
+search to the same output: ``reference_k_coloring`` is the k-coloring
+search as it stood before it moved to saturation-level bitsets, kept for
+its branching order, and ``reference_matching_blocks`` is the r-matching
+enumerator as it stood before it kept each last-level remainder's bits,
+kept for its blocks. ``check_enumeration_index`` is a check on the
+package's bisection, not an oracle.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import re
 import sys
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, perm
+from operator import or_
 from pathlib import Path
 
 import networkx as nx
@@ -34,6 +38,7 @@ from matchkneser import (
     SearchTimeout,
     make_graph,
 )
+from matchkneser.graphs import enumeration_index
 
 
 # The prescribed-gap grid of scripts/gap_survey.py at its defaults (r = 3..5,
@@ -165,6 +170,87 @@ def count_matchings(G: LabeledGraph, r: int) -> int:
         return total
 
     return count((1 << G.n) - 1, r)
+
+
+def reference_matching_blocks(G: LabeledGraph, r: int) -> list[list[int]]:
+    """The r-matching blocks of G, each last-level remainder split into bits per block.
+
+    The depth-first search with the four counting cuts, as
+    ``graphs.matching_blocks`` ran it before it kept a remainder's bits
+    from one block to the next; it has no deadline.
+    """
+
+    edges = G.edges
+    m = len(edges)
+    lower = [0] * G.n
+    upper = [0] * G.n
+    for i, (u, v) in enumerate(edges):
+        lower[u] |= 1 << i
+        upper[v] |= 1 << i
+    touching = list(map(or_, lower, upper))
+    upper_desc = upper[::-1]
+    lower_end = [u for u, _ in edges]
+    full = (1 << m) - 1
+    later = [(full >> (i + 1) << (i + 1)) & ~(touching[u] | touching[v]) for i, (u, v) in enumerate(edges)]
+
+    def room(avail: int, k: int) -> bool:
+        if avail.bit_count() < k:
+            return False
+        start = lower_end[(avail & -avail).bit_length() - 1]
+        return bool(
+            next(islice(filter(avail.__and__, islice(touching, start, None)), 2 * k - 1, None), 0)
+            and next(islice(filter(avail.__and__, islice(lower, start, None)), k - 1, None), 0)
+            and next(islice(filter(avail.__and__, upper_desc), k - 1, None), 0)
+        )
+
+    blocks: list[list[int]] = []
+
+    def grow(mask: int, avail: int, need: int) -> None:
+        if need == 2:
+            while avail:
+                low = avail & -avail
+                avail ^= low
+                rest = avail & later[low.bit_length() - 1]
+                if rest:
+                    base = mask | low
+                    block: list[int] = []
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        block.append(base | bit)
+                    blocks.append(block)
+            return
+        while room(avail, need):
+            low = avail & -avail
+            avail ^= low
+            rest = avail & later[low.bit_length() - 1]
+            if rest.bit_count() >= need - 1:
+                grow(mask | low, rest, need - 1)
+
+    if r == 1:
+        if m:
+            blocks.append([1 << i for i in range(m)])
+    elif m >= r:
+        grow(0, full, r)
+    return blocks
+
+
+def check_enumeration_index(masks: list[int]) -> None:
+    """``enumeration_index`` finds every mask at its own index and refuses non-members.
+
+    The non-members are each mask with its top bit moved up by one, where
+    that is not a member: same-size masks that sit between members in the
+    enumeration order, so a search that lands next to the right index is
+    caught.
+    """
+
+    assert [enumeration_index(masks, mask) for mask in masks] == list(range(len(masks)))
+    members = set(masks)
+    moved = (mask ^ top ^ (top << 1) for mask in masks for top in [1 << (mask.bit_length() - 1)])
+    outsiders = [x for x in moved if x not in members]
+    assert all(enumeration_index(masks, x) is None for x in outsiders)
+    if masks:
+        assert enumeration_index(masks, 0) is None
 
 
 def flower_snark(n: int) -> LabeledGraph:

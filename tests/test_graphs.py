@@ -1,11 +1,15 @@
 """Graph core: construction, predicates, matching enumeration, matching number."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import FrozenInstanceError
 from functools import reduce
 from itertools import chain
 from operator import or_
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +38,6 @@ from matchkneser.graphs import (
     _find_augmenting_path,
     decode_matching,
     edgelist_pieces,
-    enumeration_key,
     matching_blocks,
     maximum_mates,
     parse_edgelist,
@@ -47,15 +50,19 @@ from helpers import (
     CountingDeadline,
     brute_force_matchings,
     brute_force_matching_number,
+    check_enumeration_index,
     count_matchings,
     edge_set,
     flower_snark,
     graphs,
     make_matching,
+    reference_matching_blocks,
     to_networkx,
 )
 
 import networkx as nx
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
 K3 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -313,8 +320,7 @@ def check_enumerator(G, r):
     assert matchings == brute_force_matchings(G, r)  # same matchings, same order
     bit = {e: 1 << i for i, e in enumerate(G.edges)}
     assert masks == [reduce(or_, (bit[e] for e in mt)) for mt in matchings]
-    keys = list(map(enumeration_key, masks))
-    assert keys == sorted(set(keys))  # the enumeration order, with no ties
+    check_enumeration_index(masks)  # found by bisection in the enumeration order
     for block in blocks:
         # A block: one or more matchings that share all but their top edge.
         assert block and all(mask ^ shared_edges(block) == 1 << (mask.bit_length() - 1) for mask in block)
@@ -408,6 +414,78 @@ def test_a_dead_enumeration_still_honours_its_deadline():
     with pytest.raises(SearchTimeout, match="r-matching enumeration"):
         flat_masks(G, 12, deadline=Deadline(0.05))
     assert time.perf_counter() - started < 0.25
+
+
+def _random_graph(seed):
+    """G(n, p) with n in 2..12 and p in 0.2..0.8, and an r in 1..4, from ``seed``."""
+
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    p = rng.choice((0.2, 0.35, 0.5, 0.8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return make_graph(n, pairs), rng.randint(1, 4)
+
+
+# Hosts for the block-by-block comparison with the reference enumerator: the
+# family grid and the radius-2 trees, where last-level remainders repeat
+# across thousands of blocks; lK2 at r = 2 and 3, where none repeats at
+# r = 2; and Petersen at r = 2..5.
+_ORACLE_HOSTS = (
+    [(f"gap{grid}", gap_graph(FamilyParams(*grid)), grid[0]) for grid in SURVEY_GRID]
+    + [(f"gap_tree({r},{theta})", gap_tree(r, theta), r) for r in range(3, 7) for theta in (1, 2, 3)]
+    + [(f"{l}K2-r{r}", matching_graph(l), r) for l in (2, 3, 5, 8, 12) for r in (2, 3)]
+    + [(f"petersen-r{r}", petersen(), r) for r in range(2, 6)]
+)
+
+
+@pytest.mark.parametrize("host, r", [h[1:] for h in _ORACLE_HOSTS], ids=[h[0] for h in _ORACLE_HOSTS])
+def test_matching_blocks_equal_the_reference_block_by_block(host, r):
+    assert list(matching_blocks(host, r)) == reference_matching_blocks(host, r)
+
+
+def test_matching_blocks_equal_the_reference_on_random_graphs():
+    for seed in range(200):
+        G, r = _random_graph(seed)
+        assert list(matching_blocks(G, r)) == reference_matching_blocks(G, r), seed
+
+
+def test_cleared_blocks_and_other_hosts_leave_later_blocks_unchanged():
+    # A block shares no list with the search, and no search shares its
+    # remainders' bits with another: clearing each block as it comes, and
+    # running other hosts between and alongside, changes nothing yielded.
+    A, B = gap_graph(FamilyParams(4, 2, 1)), petersen()
+    expected_a, expected_b = reference_matching_blocks(A, 4), reference_matching_blocks(B, 3)
+    seen = []
+    for block in matching_blocks(A, 4):
+        seen.append(list(block))
+        block.clear()
+    assert seen == expected_a
+    assert list(matching_blocks(B, 3)) == expected_b
+    assert list(matching_blocks(A, 4)) == expected_a
+    interleaved = list(zip(matching_blocks(A, 4), matching_blocks(B, 3)))
+    assert interleaved == list(zip(expected_a, expected_b))
+
+
+def test_a_finished_enumeration_holds_no_memory():
+    # The remainders' bits live only as long as their search: a memo kept
+    # in the module or on the host would hold about 40 kB here, one list
+    # for each of 133 distinct remainders. The check runs in a fresh
+    # interpreter, where no earlier test can have filled such a memo. A
+    # first run, on another host, fills CPython's free lists, which
+    # tracemalloc would count as held.
+    code = (
+        "import tracemalloc\n"
+        "from matchkneser import FamilyParams, gap_graph\n"
+        "from matchkneser.graphs import matching_blocks\n"
+        "G = gap_graph(FamilyParams(5, 2, 1))\n"
+        "assert G.edges and sum(1 for _ in matching_blocks(gap_graph(FamilyParams(4, 2, 1)), 4)) == 214\n"
+        "tracemalloc.start()\n"
+        "assert sum(1 for _ in matching_blocks(G, 5)) == 9373\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert int(done.stdout) < 4 * 1024
 
 
 @settings(max_examples=60, deadline=None)
