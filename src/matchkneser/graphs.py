@@ -30,12 +30,13 @@ from functools import cached_property, partial
 from itertools import accumulate, chain, count, islice, repeat
 from operator import add, or_
 from pathlib import Path
-from typing import Callable, ContextManager, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, ContextManager, Iterable, Iterator, NoReturn, Sequence, TextIO
 
-from .errors import Deadline, GraphConstructionError, ParameterError, ensure_deadline, refuse_write
+from .errors import Deadline, GraphConstructionError, KneserSizeError, ParameterError, ensure_deadline, refuse_write
 
 Edge = tuple[int, int]
 Matching = tuple[Edge, ...]
+Unit = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]  # (prefix, lows, bits)
 
 ROLE_KINDS = ("x", "y", "z", "w")
 
@@ -264,47 +265,44 @@ def radius(G: LabeledGraph) -> int:
 # Matchings
 # ---------------------------------------------------------------------------
 
-def matching_blocks(G: LabeledGraph, r: int, deadline: Deadline | None = None) -> Iterator[list[int]]:
-    """Every r-matching of G as an edge-index bitmask, in lexicographic order.
+def matching_blocks(G: LabeledGraph, r: int, deadline: Deadline | None = None, cap: int | None = None) -> Iterator[Unit]:
+    """Every r-matching of G as an edge-index bitmask, in lexicographic order, in units.
 
     Bit i of a mask stands for ``G.edges[i]``. A depth-first search keeps
     ``later[i]``, the mask of the edges after i that share no endpoint with
     edge i, takes the lowest available bit first and recurses on
-    ``avail & later[i]``; so each matching gains its edges in increasing
-    order, and the matchings come in lexicographic order of their edge
-    tuples (not in the integer order of their masks). Each yielded block is
-    the non-empty run of matchings that share their first r - 1 edges:
-    their masks differ only in the top bit, the last edge added.
+    ``avail & later[i]``; so the matchings come in lexicographic order of
+    their edge tuples (not in the integer order of their masks). A unit
+    ``(prefix, lows, bits)`` holds the matchings that share their first
+    r - 2 edges, ``prefix``: their members are ``prefix | lows[j] | b`` for
+    b in ``bits[j]``, j by j (:func:`unit_masks`), lows and bits rising. At
+    r = 1 the one unit is ``(0, (0,), (every edge's bit,))``.
 
-    A block is its shared edges OR-ed with each single bit of the last
-    level's remainder, ``avail & later[i]``. Few distinct remainders occur
-    (133 over gap(5,2,1)'s 9,373 blocks), so each call keeps a dict from
-    remainder to its bits, lowest first, filled on the first sight of each
-    and dropped with the generator. It holds no more ints than the masks
-    already yielded, which every caller keeps; each block is a new list.
+    ``(lows, bits)`` depends only on the edges available at the last two
+    levels, and few such sets recur (71 over gap(5,2,1)'s 418 units), so
+    each call keeps a dict from that set to its table, and one from each
+    last-level remainder ``avail & later[i]`` to its bits, which the tables
+    share; both go with the generator, and hold no empty table. Units
+    share the dicts' tuples, which none may change.
 
-    A branch that still needs k >= 3 edges is cut as soon as its available
-    edges fail one of four counts that k pairwise disjoint edges pass:
-    k edges, k distinct lower endpoints, k distinct upper endpoints and 2k
-    distinct vertices. The branch is tested when it is entered and again
-    each time its lowest edge has been tried and dropped; a branch that
-    needs two edges builds its blocks at once. Each endpoint count reads
-    one edge mask per vertex (the edges it is the lower endpoint of, the
-    upper endpoint of, or touches) and stops once it reaches its target.
-    So near the matching number the search no longer walks partial
-    matchings that cannot be completed: at r = n/2, a branch dies at its
-    next test once a vertex it must still cover has lost its last
-    available edge. The cuts drop only branches that yield nothing, so the
-    order and the blocks are those of the uncut search.
+    A branch that still needs k >= 3 edges is cut once its available edges
+    fail a count that k disjoint edges pass: k edges, k distinct lower
+    endpoints, k distinct upper endpoints and 2k distinct vertices, each
+    read from one edge mask per vertex. It is tested on entry and after
+    each lowest edge it drops. The cuts drop only branches that yield
+    nothing.
 
-    ``deadline`` is checked once every ``_DEADLINE_STRIDE`` branches entered,
-    so a search that walks many partial matchings and yields no block still
-    stops in time; :class:`SearchTimeout` is raised when it has expired.
+    Raises :class:`KneserSizeError` before yielding a unit that takes the
+    count past ``cap`` (None: no cap), counting a new table low by low
+    before it makes any bits. ``deadline`` is checked once per unit and
+    every ``_DEADLINE_STRIDE`` branches, lows or remainders passed, so a
+    search that yields nothing still stops in time (:class:`SearchTimeout`).
     """
 
     if r < 1:
         raise ParameterError("matching size r must be at least 1")
     deadline = ensure_deadline(deadline, None)
+    stage = "r-matching enumeration"
     edges = G.edges
     m = len(edges)
     lower = [0] * G.n
@@ -332,59 +330,98 @@ def matching_blocks(G: LabeledGraph, r: int, deadline: Deadline | None = None) -
             and next(islice(filter(avail.__and__, upper_desc), k - 1, None), 0)
         )
 
-    branches = 0
-    split: dict[int, list[int]] = {}  # last-level remainder -> its single bits, lowest first
+    def refuse() -> NoReturn:
+        raise KneserSizeError(
+            f"matching Kneser graph of ({G.n} vertices, r={r}) has more than "
+            f"{cap} vertices (enumeration stopped at {cap + 1})"
+        )
 
-    def grow(mask: int, avail: int, need: int) -> Iterator[list[int]]:
+    limit = float("inf") if cap is None else cap
+    found = 0  # matchings counted toward the cap
+    branches = 0
+    tables: dict[int, tuple] = {}  # avail -> (lows, bits, members)
+    split: dict[int, tuple[int, ...]] = {}  # last-level remainder -> its single bits, lowest first
+
+    def table(avail: int) -> tuple:
+        # The lows of ``avail`` with a non-empty remainder, their bits and
+        # their member count, counted before any bit is made.
+        lows, rests, size = [], [], found
+        for n, i in enumerate(_bit_positions(avail, 0), 1):
+            if n % _DEADLINE_STRIDE == 0:
+                deadline.check(stage)
+            rest = avail & later[i]
+            if rest:
+                size += rest.bit_count()
+                if size > limit:
+                    refuse()
+                lows.append(1 << i)
+                rests.append(rest)
+        bits = []
+        for n, rest in enumerate(rests, 1):
+            if n % _DEADLINE_STRIDE == 0:
+                deadline.check(stage)
+            got = split.get(rest)
+            if got is None:
+                got = split[rest] = tuple([1 << j for j in _bit_positions(rest, 0)])  # see decode_matching
+            bits.append(got)
+        made = (tuple(lows), tuple(bits), size - found)
+        if lows:
+            tables[avail] = made
+        return made
+
+    def grow(prefix: int, avail: int, need: int) -> Iterator[Unit]:
         # need >= 2; ``avail`` holds at least ``need`` edges.
-        nonlocal branches
+        nonlocal branches, found
         branches += 1
         if branches % _DEADLINE_STRIDE == 0:
-            deadline.check("r-matching enumeration")
+            deadline.check(stage)
         if need == 2:
-            # The last level builds each block in place, with no generator per block.
-            while avail:
-                low = avail & -avail
-                avail ^= low
-                rest = avail & later[low.bit_length() - 1]
-                if rest:
-                    bits = split.get(rest)
-                    if bits is None:
-                        bits = split[rest] = []
-                        while rest:
-                            bit = rest & -rest
-                            rest ^= bit
-                            bits.append(bit)
-                    base = mask | low
-                    yield [base | bit for bit in bits]
+            lows, bits, size = tables.get(avail) or table(avail)
+            if size:
+                found += size
+                if found > limit:
+                    refuse()
+                deadline.check(stage)
+                yield prefix, lows, bits
             return
         while room(avail, need):
             low = avail & -avail
             avail ^= low
             rest = avail & later[low.bit_length() - 1]
             if rest.bit_count() >= need - 1:
-                yield from grow(mask | low, rest, need - 1)
+                yield from grow(prefix | low, rest, need - 1)
 
     try:
         if r == 1:
             if m:
-                yield [1 << i for i in range(m)]
+                if m > limit:
+                    refuse()
+                deadline.check(stage)
+                yield 0, (0,), (tuple([1 << i for i in range(m)]),)
         elif m >= r:
             yield from grow(0, full, r)
     finally:
         # ``grow`` reaches itself through its closure: a cycle that would
-        # keep the memo and the edge masks until a full garbage collection.
+        # keep the tables and the edge masks until a full garbage collection.
         del grow
+
+
+def unit_masks(prefix: int, lows: tuple[int, ...], bits: tuple[tuple[int, ...], ...]) -> list[int]:
+    """A :func:`matching_blocks` unit's masks in enumeration order: ``prefix | lows[j] | b``, j by j."""
+
+    return [base | b for base, tops in zip(map(prefix.__or__, lows), bits) for b in tops]
 
 
 def decode_matching(edges: tuple[Edge, ...], mask: int) -> Matching:
     """The matching whose edge-index bitmask over ``edges`` is ``mask``, in canonical form.
 
     ``edges`` is a host's sorted edge list, so its edges taken in increasing
-    bit order are already sorted.
+    bit order are already sorted. The tuple is made at its size, from a
+    list: one grown from an iterator is resized, and freed into another
+    size's free list.
     """
 
-    return tuple(map(edges.__getitem__, _bit_positions(mask, 0)))
+    return tuple([*map(edges.__getitem__, _bit_positions(mask, 0))])
 
 
 def enumeration_index(masks: Sequence[int], mask: int) -> int | None:
@@ -468,8 +505,8 @@ def iter_matchings(G: LabeledGraph, r: int) -> Iterator[Matching]:
     """Yield every r-matching of G in lexicographic order of sorted edge lists."""
 
     decode = partial(decode_matching, G.edges)
-    for block in matching_blocks(G, r):
-        yield from map(decode, block)
+    for unit in matching_blocks(G, r):
+        yield from map(decode, unit_masks(*unit))
 
 
 def enumerate_matchings(G: LabeledGraph, r: int) -> list[Matching]:

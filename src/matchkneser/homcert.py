@@ -33,8 +33,8 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .coloring import ChiCertificate, chromatic_number, lovasz_chi
 from .errors import Deadline, KneserSizeError, ParameterError, Record, VerificationError, ensure_deadline
 from .families import FamilyParams, gap_graph
-from .graphs import Edge, Matching, MatchingView, decode_matching, enumeration_index, mask_text
-from .kneser import capped_matchings, kneser_graph, r_subsets, shared_edges
+from .graphs import Edge, Matching, MatchingView, decode_matching, enumeration_index, mask_text, matching_blocks, unit_masks
+from .kneser import kneser_graph, r_subsets
 
 # Unused here, but kept bound: perfbench/spans.py wraps this attribute of this module.
 from .graphs import iter_matchings  # noqa: F401
@@ -228,7 +228,7 @@ def certify_family(
 ) -> FamilyCertification:
     """Certify chi = theta for the matching Kneser graph of ``gap_graph(params)``.
 
-    Steps: (a) enumerate the r-matchings block by block and compute the
+    Steps: (a) enumerate the r-matchings unit by unit and compute the
     forward map of every matching; (b) solve the small Kneser graph
     K(l, r - t) exactly, cross-check the closed form, and check that no
     color class of the pulled-back coloring holds two edge-disjoint
@@ -237,14 +237,14 @@ def certify_family(
     matching lower bound. Every pair of matchings is covered, so
     ``pairs_checked`` is always n(n - 1)/2.
 
-    Step (a) goes block by block (:func:`~matchkneser.kneser.capped_matchings`):
-    the members of a block share r - 1 edges and add one top edge above
-    them. x_i y_i precedes x_j y_j in the host's edge list when i < j, so a
-    pair-edge top has a larger pair index than every shared pair edge; if
-    the shared edges hold r - t pair edges, their :func:`forward_map` image
-    and its color are those of every member. Other blocks map each member
-    from its own pair edges. :func:`forward_map` runs once per distinct set
-    of pair edges.
+    Step (a) goes unit by unit (:func:`matching_blocks`). x_i y_i precedes
+    x_j y_j in the host's edge list when i < j, so later edges cannot
+    change the r - t smallest pair indices a matching's first edges hold.
+    A unit whose (r - 2)-edge prefix holds r - t pair edges takes the
+    prefix's :func:`forward_map` image and color whole; else each low whose
+    prefix and low hold them gives its members one image, and the others
+    are mapped from their own pair edges. :func:`forward_map` runs once per
+    distinct set of pair edges.
 
     The forward map needs no pair check of its own: the image of a matching
     consists of indices i whose edges x_i y_i lie in it, so two edge-disjoint
@@ -279,29 +279,31 @@ def certify_family(
     subsets = r_subsets(p.l, need)
     subset_index = {s: i for i, s in enumerate(subsets)}
     decode = partial(decode_matching, G.edges)
-    # A key is a set of pair edges as a mask: a block's shared one, or each
-    # member's ``mask & pair_bits``. The images are kept as runs (image,
-    # length), one per run of blocks with one shared key.
+    # Images are kept as runs (image, length): one per unit or low whose
+    # key (its pair edges as a mask) holds r - t edges, one per other member.
     pair_edges = {p.x_edge(i) for i in range(1, p.l + 1)}
     pair_bits = sum(1 << i for i, e in enumerate(G.edges) if e in pair_edges)
     index_of = _KeyIndex(lambda key: subset_index[forward_map(decode(key), p)])
     masks: list[int] = []
     images: list[int] = []
     lengths: list[int] = []
-    last = None  # the shared key of the last block, when it gave its whole block one image
-    for block in capped_matchings(G, p.r, cap, deadline):
-        masks += block
-        key = shared_edges(block) & pair_bits
-        if key == last:
-            lengths[-1] += len(block)
-        elif key.bit_count() >= need:
-            last = key
+    for prefix, lows, bits in matching_blocks(G, p.r, deadline, cap):
+        start = len(masks)
+        masks += unit_masks(prefix, lows, bits)
+        key = prefix & pair_bits
+        if key.bit_count() >= need:
             images.append(index_of[key])
-            lengths.append(len(block))
-        else:
-            last = None
-            images += map(index_of.__getitem__, map(pair_bits.__and__, block))
-            lengths += repeat(1, len(block))
+            lengths.append(len(masks) - start)
+            continue
+        for low, tops in zip(lows, bits):
+            base = prefix | low
+            key = base & pair_bits
+            if key.bit_count() >= need:
+                images.append(index_of[key])
+                lengths.append(len(tops))
+            else:
+                images += map(index_of.__getitem__, map(pair_bits.__and__, map(base.__or__, tops)))
+                lengths += repeat(1, len(tops))
     if len(masks) != p.n_matchings:
         raise VerificationError(
             f"enumerated {len(masks)} r-matchings, closed form gives {p.n_matchings}"

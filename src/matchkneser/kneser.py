@@ -9,13 +9,13 @@ classical Kneser graph K(l, r) on r-subsets of an l-set.
 from __future__ import annotations
 
 from functools import cached_property, partial
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 from typing import Iterator
 
 from .errors import Deadline, KneserSizeError, ParameterError, Record, ensure_deadline
 from .families import matching_graph
-from .graphs import LabeledGraph, Matching, _bit_positions, decode_matching, mask_text, matching_blocks
+from .graphs import LabeledGraph, Matching, _bit_positions, decode_matching, mask_text, matching_blocks, unit_masks
 from .graphs import write_edgelist, write_lines
 
 # Unused here, but kept bound: perfbench/spans.py wraps these attributes of this module.
@@ -47,101 +47,65 @@ class MatchingKneserGraph(Record):
         return tuple(map(partial(decode_matching, self.host.edges), self.masks))
 
 
-def capped_matchings(
-    G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_CAP, deadline: Deadline | None = None
-) -> Iterator[list[int]]:
-    """The r-matchings of G in canonical order as edge-index bitmasks, in blocks.
-
-    A block of :func:`~matchkneser.graphs.matching_blocks` lists the
-    matchings that share their first r - 1 edges. Bit i of a mask stands for
-    ``G.edges[i]``, so two matchings are edge-disjoint exactly when their
-    masks AND to zero, and :func:`~matchkneser.graphs.decode_matching`
-    gives a matching's edge tuple. A mask is one int, 39 bytes on
-    gap(5,3,1)'s 125 edges and 60 on gap_tree(7, 1)'s 495. Raises
-    :class:`KneserSizeError` as soon as a block (at most m matchings) takes
-    the count past ``cap``, before yielding it, and :class:`SearchTimeout`
-    when ``deadline``, checked once per block and inside the search, has
-    expired. Callers rely on the order: it is the Kneser vertex order, and
-    ``certify_family`` finds matchings by bisection on it.
-    """
-
-    deadline = ensure_deadline(deadline, None)
-    count = 0
-    for block in matching_blocks(G, r, deadline):
-        deadline.check("r-matching enumeration")
-        count += len(block)
-        if count > cap:
-            raise KneserSizeError(
-                f"matching Kneser graph of ({G.n} vertices, r={r}) has more than "
-                f"{cap} vertices (enumeration stopped at {cap + 1})"
-            )
-        yield block
-
-
-def shared_edges(block: list[int]) -> int:
-    """The mask of the r - 1 edges every matching of a block holds."""
-
-    first = block[0]
-    return first ^ (1 << (first.bit_length() - 1))
-
-
 def build_matching_kneser(
     G: LabeledGraph, r: int, cap: int = DEFAULT_MATCHING_CAP, deadline: Deadline | None = None
 ) -> MatchingKneserGraph:
     """Construct the matching Kneser graph of G at size r.
 
-    Refuses with :class:`KneserSizeError` when the number of r-matchings
-    exceeds ``cap``; enumeration is aborted as soon as the cap is crossed.
-    Row i of the adjacency is the complement of the union, over the r edges
-    of matching i, of the masks of the matchings using that edge. Each
-    block of :func:`capped_matchings` is a run of matchings that share
-    every edge but their top bit, so the union over the shared edges is
-    taken once per block. The rows are kept whole and become the graph's
-    ``adj_masks``, so the edge list is decoded only if something reads it.
-    Their bytes are counted as they are made, and the construction refuses
-    with :class:`KneserSizeError` as soon as the total passes
-    :data:`KNESER_ROW_BYTES`. The enumeration checks ``deadline`` once per
-    block and the row loop once per row; either raises
-    :class:`SearchTimeout` when it has expired.
+    Refuses with :class:`KneserSizeError` as soon as the enumeration
+    passes ``cap`` r-matchings. Row i of the adjacency is the complement of
+    the union, over matching i's r edges, of the masks of the matchings
+    using each. A unit of :func:`matching_blocks` shares r - 2 edges and
+    each of its lows one more, so those unions are taken once per unit and
+    per low. The rows become the graph's ``adj_masks``, so the edge list is
+    decoded only if read. Their bytes are counted as they are made, and the
+    construction refuses with :class:`KneserSizeError` once they pass
+    :data:`KNESER_ROW_BYTES`. ``deadline`` is checked once per unit and
+    once per row (:class:`SearchTimeout`).
     """
 
     deadline = ensure_deadline(deadline, None)
     masks: list[int] = []
-    tops: list[int] = []
-    # Host edges are numbered from 1 here, so that a mask's top edge is its bit length.
-    # runs: (first matching, host edges shared by the block), ended by a sentinel.
-    runs: list[tuple[int, list[int]]] = []
-    for block in capped_matchings(G, r, cap, deadline):
-        runs.append((len(masks), list(_bit_positions(shared_edges(block), 1))))
-        masks += block
-        tops += map(int.bit_length, block)
+    # Host edges are numbered from 1 here: an edge's number is its bit's length.
+    units = []  # (first matching, prefix edges, lows, run lengths)
+    for prefix, lows, bits in matching_blocks(G, r, deadline, cap):
+        units.append((len(masks), list(_bit_positions(prefix, 1)), lows, list(map(len, bits))))
+        masks += unit_masks(prefix, lows, bits)
     n = len(masks)
-    runs.append((n, []))
+    tops = list(map(int.bit_length, masks))
     # users[b]: the matchings that contain host edge b, as a mask over vertices.
     users = [0] * (G.m + 1)
-    for (start, shared), (end, _) in zip(runs, runs[1:]):
-        for b in shared:
-            users[b] |= ((1 << (end - start)) - 1) << start
     for i, top in enumerate(tops):
         users[top] |= 1 << i
+    for start, shared, lows, lengths in units:
+        span = ((1 << sum(lengths)) - 1) << start
+        for b in shared:
+            users[b] |= span
+        for low, length in zip(lows, lengths):
+            users[low.bit_length()] |= ((1 << length) - 1) << start
+            start += length
+    users[0] = 0  # the low of the r = 1 unit is no edge
     full = (1 << n) - 1
     # Row i holds the matchings sharing no edge with matching i.
     rows: list[int] = []
     held = 0
-    for (start, shared), (end, _) in zip(runs, runs[1:]):
+    numbered = enumerate(tops)
+    for _, shared, lows, lengths in units:
         hit = 0
         for b in shared:
             hit |= users[b]
-        for i in range(start, end):
-            deadline.check("matching Kneser construction")
-            row = full ^ (hit | users[tops[i]])
-            held += row.bit_length() // 8
-            if held > KNESER_ROW_BYTES:
-                raise KneserSizeError(
-                    f"matching Kneser graph of ({G.n} vertices, r={r}) needs more than "
-                    f"{KNESER_ROW_BYTES} bytes of adjacency rows (construction stopped at row {i} of {n})"
-                )
-            rows.append(row)
+        for low, length in zip(lows, lengths):
+            low_hit = hit | users[low.bit_length()]
+            for i, top in islice(numbered, length):
+                deadline.check("matching Kneser construction")
+                row = full ^ (low_hit | users[top])
+                held += row.bit_length() // 8
+                if held > KNESER_ROW_BYTES:
+                    raise KneserSizeError(
+                        f"matching Kneser graph of ({G.n} vertices, r={r}) needs more than "
+                        f"{KNESER_ROW_BYTES} bytes of adjacency rows (construction stopped at row {i} of {n})"
+                    )
+                rows.append(row)
     return MatchingKneserGraph(
         host=G,
         r=r,

@@ -10,7 +10,8 @@ search as it stood before it moved to saturation-level bitsets, kept for
 its branching order, and ``reference_matching_blocks`` is the r-matching
 enumerator as it stood before it kept each last-level remainder's bits,
 kept for its blocks. ``check_enumeration_index`` is a check on the
-package's bisection, not an oracle.
+package's bisection, and ``unit_blocks`` and ``enumerated_blocks`` read
+the package's enumeration units as those blocks; none is an oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from matchkneser import (
     SearchTimeout,
     make_graph,
 )
-from matchkneser.graphs import enumeration_index
+from matchkneser.graphs import enumeration_index, matching_blocks
 
 
 # The prescribed-gap grid of scripts/gap_survey.py at its defaults (r = 3..5,
@@ -233,6 +234,23 @@ def reference_matching_blocks(G: LabeledGraph, r: int) -> list[list[int]]:
     elif m >= r:
         grow(0, full, r)
     return blocks
+
+
+def unit_blocks(unit: tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]) -> list[list[int]]:
+    """A unit ``(prefix, lows, bits)`` of ``graphs.matching_blocks`` as its blocks, one new list per low.
+
+    A block is the run of matchings that share their first r - 1 edges:
+    ``prefix | lows[j] | b`` for each b in ``bits[j]``.
+    """
+
+    prefix, lows, bits = unit
+    return [[prefix | low | b for b in tops] for low, tops in zip(lows, bits)]
+
+
+def enumerated_blocks(G: LabeledGraph, r: int, **kwargs) -> list[list[int]]:
+    """Every block of every unit ``graphs.matching_blocks(G, r, **kwargs)`` yields, in order."""
+
+    return [block for unit in matching_blocks(G, r, **kwargs) for block in unit_blocks(unit)]
 
 
 def check_enumeration_index(masks: list[int]) -> None:

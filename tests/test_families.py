@@ -20,10 +20,9 @@ from matchkneser import (
     remove_edges,
 )
 
-from matchkneser.kneser import capped_matchings
 from matchkneser.verify import THEOREM2_GRID
 
-from helpers import SURVEY_GRID, are_isomorphic, edge_k_colorable, gap_matching_count, to_networkx
+from helpers import SURVEY_GRID, are_isomorphic, edge_k_colorable, enumerated_blocks, gap_matching_count, to_networkx
 
 
 def test_param_arithmetic():
@@ -93,7 +92,7 @@ def test_size_closed_forms(r, theta):
 def test_matching_count_agrees_with_the_oracle_and_enumeration(grid):
     params = FamilyParams(*grid)
     assert params.n_matchings == gap_matching_count(params)
-    assert params.n_matchings == sum(map(len, capped_matchings(gap_graph(params), params.r)))
+    assert params.n_matchings == sum(map(len, enumerated_blocks(gap_graph(params), params.r)))
 
 
 def test_matching_count_of_the_tree_sequence():

@@ -39,11 +39,11 @@ from matchkneser.graphs import (
     decode_matching,
     edgelist_pieces,
     matching_blocks,
+    unit_masks,
     maximum_mates,
     parse_edgelist,
 )
 from matchkneser.families import gap_graph, gap_tree, FamilyParams, matching_graph
-from matchkneser.kneser import capped_matchings, shared_edges
 
 from helpers import (
     SURVEY_GRID,
@@ -53,11 +53,13 @@ from helpers import (
     check_enumeration_index,
     count_matchings,
     edge_set,
+    enumerated_blocks,
     flower_snark,
     graphs,
     make_matching,
     reference_matching_blocks,
     to_networkx,
+    unit_blocks,
 )
 
 import networkx as nx
@@ -306,16 +308,37 @@ def test_enumerate_matchings_examples():
 
 
 def flat_masks(G, r, **kwargs):
-    """Every mask capped_matchings yields, its blocks joined."""
+    """Every mask matching_blocks yields, its units joined."""
 
-    return list(chain.from_iterable(capped_matchings(G, r, **kwargs)))
+    return list(chain.from_iterable(unit_masks(*unit) for unit in matching_blocks(G, r, **kwargs)))
+
+
+def check_units(units, r):
+    """The shape of matching_blocks' units: an (r - 2)-edge prefix, lows above it, tuples of top bits above each low."""
+
+    for prefix, lows, bits in units:
+        assert type(lows) is tuple and type(bits) is tuple and len(lows) == len(bits) > 0
+        if r == 1:
+            assert (prefix, lows) == (0, (0,))
+        else:
+            assert prefix.bit_count() == r - 2
+            assert all(low.bit_count() == 1 for low in lows)
+            assert prefix < lows[0] and list(lows) == sorted(set(lows))
+        for low, tops in zip(lows, bits):
+            # A tuple, so no consumer can change a table the search shares between units.
+            assert type(tops) is tuple and tops
+            assert all(top.bit_count() == 1 for top in tops)
+            assert low < tops[0] and list(tops) == sorted(set(tops))
 
 
 def check_enumerator(G, r):
-    """capped_matchings decoded against the brute-force oracle, its masks, blocks and cap, and first_matching."""
+    """matching_blocks decoded against the brute-force oracle, its masks, units, blocks and cap, and first_matching."""
 
-    blocks = list(capped_matchings(G, r))
+    units = list(matching_blocks(G, r))
+    check_units(units, r)
+    blocks = [block for unit in units for block in unit_blocks(unit)]
     masks = list(chain.from_iterable(blocks))
+    assert masks == list(chain.from_iterable(unit_masks(*unit) for unit in units))
     matchings = [decode_matching(G.edges, mask) for mask in masks]
     assert matchings == brute_force_matchings(G, r)  # same matchings, same order
     bit = {e: 1 << i for i, e in enumerate(G.edges)}
@@ -323,12 +346,13 @@ def check_enumerator(G, r):
     check_enumeration_index(masks)  # found by bisection in the enumeration order
     for block in blocks:
         # A block: one or more matchings that share all but their top edge.
-        assert block and all(mask ^ shared_edges(block) == 1 << (mask.bit_length() - 1) for mask in block)
+        shared = block[0] ^ 1 << (block[0].bit_length() - 1)
+        assert all(mask ^ shared == 1 << (mask.bit_length() - 1) for mask in block)
     n = len(matchings)
-    assert list(capped_matchings(G, r, cap=n)) == blocks
+    assert list(matching_blocks(G, r, cap=n)) == units
     if n:
         with pytest.raises(KneserSizeError, match=rf"\(enumeration stopped at {n}\)$"):
-            list(capped_matchings(G, r, cap=n - 1))
+            list(matching_blocks(G, r, cap=n - 1))
         assert first_matching(G, r) == enumerate_matchings(G, r)[0]
     else:
         assert first_matching(G, r) is None
@@ -347,7 +371,7 @@ def test_enumeration_completeness(G):
 # endpoints alone on the three stars centred at the lowest vertices, upper
 # endpoints alone on those centred at the highest, distinct vertices alone
 # on P4, K4 and K6, and the edge count on 3K2. At nu = 1 the last level,
-# which builds blocks without counting, ends the search at r = 2.
+# which makes its table without counting, ends the search at r = 2.
 _COUNT_HOSTS = {
     "star": make_graph(5, [(0, v) for v in range(1, 5)]),
     "star-centred-last": make_graph(5, [(u, 4) for u in range(4)]),
@@ -416,6 +440,22 @@ def test_a_dead_enumeration_still_honours_its_deadline():
     assert time.perf_counter() - started < 0.25
 
 
+def test_a_new_table_checks_the_deadline_while_it_is_made():
+    # At r = 2 the whole search is one table. On a star K(1, 1100) and one
+    # edge apart, its scan passes 1,101 lows and its split 1,100 remainders
+    # (each the far edge alone), so each checks the deadline once, at its
+    # 1,024th, before the one unit is yielded and checked.
+    G = make_graph(1103, [(0, v) for v in range(1, 1101)] + [(1101, 1102)])
+    recorder = CountingDeadline()
+    assert len(flat_masks(G, 2, deadline=recorder)) == 1100
+    assert recorder.stages == ["r-matching enumeration"] * 3
+    for limit in (0, 1):
+        recorder = CountingDeadline(limit=limit)
+        with pytest.raises(SearchTimeout, match="r-matching enumeration"):
+            next(matching_blocks(G, 2, recorder))
+        assert len(recorder.stages) == limit
+
+
 def _random_graph(seed):
     """G(n, p) with n in 2..12 and p in 0.2..0.8, and an r in 1..4, from ``seed``."""
 
@@ -440,52 +480,64 @@ _ORACLE_HOSTS = (
 
 @pytest.mark.parametrize("host, r", [h[1:] for h in _ORACLE_HOSTS], ids=[h[0] for h in _ORACLE_HOSTS])
 def test_matching_blocks_equal_the_reference_block_by_block(host, r):
-    assert list(matching_blocks(host, r)) == reference_matching_blocks(host, r)
+    units = list(matching_blocks(host, r))
+    check_units(units, r)
+    assert [block for unit in units for block in unit_blocks(unit)] == reference_matching_blocks(host, r)
 
 
 def test_matching_blocks_equal_the_reference_on_random_graphs():
     for seed in range(200):
         G, r = _random_graph(seed)
-        assert list(matching_blocks(G, r)) == reference_matching_blocks(G, r), seed
+        assert enumerated_blocks(G, r) == reference_matching_blocks(G, r), seed
 
 
 def test_cleared_blocks_and_other_hosts_leave_later_blocks_unchanged():
-    # A block shares no list with the search, and no search shares its
-    # remainders' bits with another: clearing each block as it comes, and
-    # running other hosts between and alongside, changes nothing yielded.
+    # A unit holds only tuples, and its masks are made into a new list, so
+    # clearing each unit's masks as they come, and running other hosts
+    # between and alongside, changes nothing yielded: no search shares its
+    # tables or its remainders' bits with another.
     A, B = gap_graph(FamilyParams(4, 2, 1)), petersen()
     expected_a, expected_b = reference_matching_blocks(A, 4), reference_matching_blocks(B, 3)
     seen = []
-    for block in matching_blocks(A, 4):
-        seen.append(list(block))
-        block.clear()
-    assert seen == expected_a
-    assert list(matching_blocks(B, 3)) == expected_b
-    assert list(matching_blocks(A, 4)) == expected_a
+    for unit in matching_blocks(A, 4):
+        masks = unit_masks(*unit)
+        seen.append(list(masks))
+        masks.clear()
+        assert unit_masks(*unit) == seen[-1]
+    assert seen and list(chain.from_iterable(seen)) == list(chain.from_iterable(expected_a))
+    units_a, units_b = list(matching_blocks(A, 4)), list(matching_blocks(B, 3))
+    assert [block for unit in units_a for block in unit_blocks(unit)] == expected_a
+    assert enumerated_blocks(B, 3) == expected_b
+    assert list(matching_blocks(A, 4)) == units_a
     interleaved = list(zip(matching_blocks(A, 4), matching_blocks(B, 3)))
-    assert interleaved == list(zip(expected_a, expected_b))
+    assert interleaved == list(zip(units_a, units_b))
 
 
 def test_a_finished_enumeration_holds_no_memory():
-    # The remainders' bits live only as long as their search: a memo kept
-    # in the module or on the host would hold about 40 kB here, one list
-    # for each of 133 distinct remainders. The check runs in a fresh
-    # interpreter, where no earlier test can have filled such a memo. A
-    # first run, on another host, fills CPython's free lists, which
-    # tracemalloc would count as held.
+    # The tables and the remainders' bits live only as long as their
+    # search: a memo kept in the module or on the host would hold tens of
+    # kB here, 71 tables of 418 units holding 9,373 blocks. The check runs
+    # in a fresh interpreter, where no earlier test can have filled such a
+    # memo. A reference cycle would keep them until a full collection, so
+    # none may be found; that collection also empties CPython's free lists,
+    # which tracemalloc would count as held.
     code = (
-        "import tracemalloc\n"
+        "import gc, tracemalloc\n"
         "from matchkneser import FamilyParams, gap_graph\n"
         "from matchkneser.graphs import matching_blocks\n"
         "G = gap_graph(FamilyParams(5, 2, 1))\n"
-        "assert G.edges and sum(1 for _ in matching_blocks(gap_graph(FamilyParams(4, 2, 1)), 4)) == 214\n"
+        "assert G.edges\n"
+        "gc.disable()\n"
+        "gc.collect()\n"
         "tracemalloc.start()\n"
-        "assert sum(1 for _ in matching_blocks(G, 5)) == 9373\n"
-        "print(tracemalloc.get_traced_memory()[0])\n"
+        "assert sum(1 for _ in matching_blocks(G, 5)) == 418\n"
+        "assert sum(len(lows) for _, lows, _ in matching_blocks(G, 5)) == 9373\n"
+        "print(gc.collect(), tracemalloc.get_traced_memory()[0])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert int(done.stdout) < 4 * 1024
+    cycles, held = map(int, done.stdout.split())
+    assert cycles == 0 and held < 4 * 1024
 
 
 @settings(max_examples=60, deadline=None)

@@ -31,13 +31,12 @@ from matchkneser import (
 )
 from matchkneser import homcert
 from matchkneser.coloring import check_coloring
-from matchkneser.graphs import MatchingView, write_lines
+from matchkneser.graphs import MatchingView, matching_blocks, unit_masks, write_lines
 from matchkneser.homcert import (
     CERTIFY_MATCHING_CAP,
     check_color_classes,
     hom_witness_lines,
 )
-from matchkneser.kneser import capped_matchings
 from matchkneser.verify import THEOREM2_GRID
 
 from helpers import SURVEY_GRID, CountingDeadline, check_enumeration_index, find_violation, verify_homomorphism
@@ -354,17 +353,17 @@ def test_certify_respects_matching_cap():
 
 
 def test_certify_refuses_before_it_enumerates(monkeypatch):
-    from matchkneser import KneserSizeError, kneser
+    from matchkneser import KneserSizeError
 
     seen = Counter()  # host vertex count -> matchings enumerated on that host
-    real = kneser.matching_blocks
+    real = homcert.matching_blocks
 
-    def counting(G, r, deadline=None):
-        for block in real(G, r, deadline):
-            seen[G.n] += len(block)
-            yield block
+    def counting(G, r, deadline=None, cap=None):
+        for unit in real(G, r, deadline, cap):
+            seen[G.n] += len(unit_masks(*unit))
+            yield unit
 
-    monkeypatch.setattr(kneser, "matching_blocks", counting)
+    monkeypatch.setattr(homcert, "matching_blocks", counting)
     tree = FamilyParams(8, 1, 6)  # gap_tree(8, 1): about 3.0M 8-matchings
     assert tree.n_matchings > CERTIFY_MATCHING_CAP
     with pytest.raises(KneserSizeError, match=f"{tree.n_matchings} r-matchings"):
@@ -377,15 +376,16 @@ def test_certify_refuses_before_it_enumerates(monkeypatch):
 
 
 def test_certify_checks_the_enumeration_against_the_closed_form(monkeypatch):
-    real = homcert.capped_matchings
+    real = homcert.matching_blocks
 
-    def one_short(G, r, cap, deadline):
-        # The blocks as enumerated, less the last matching of the last block.
-        blocks = list(real(G, r, cap, deadline))
-        blocks[-1] = blocks[-1][:-1]
-        return filter(None, blocks)
+    def one_short(G, r, deadline, cap):
+        # The units as enumerated, less the last matching of the last unit.
+        units = list(real(G, r, deadline, cap))
+        prefix, lows, bits = units[-1]
+        units[-1] = (prefix, lows, bits[:-1] + (bits[-1][:-1],))
+        return units
 
-    monkeypatch.setattr(homcert, "capped_matchings", one_short)
+    monkeypatch.setattr(homcert, "matching_blocks", one_short)
     with pytest.raises(VerificationError, match="closed form"):
         certify_family(P311)
 
@@ -443,9 +443,9 @@ def test_matching_witnesses_decode_on_read_and_hash_on_masks(monkeypatch):
 
 
 def _masks(G, r):
-    """Every mask capped_matchings yields, its blocks joined."""
+    """Every mask matching_blocks yields, its units joined."""
 
-    return list(chain.from_iterable(capped_matchings(G, r, CERTIFY_MATCHING_CAP)))
+    return list(chain.from_iterable(unit_masks(*unit) for unit in matching_blocks(G, r, cap=CERTIFY_MATCHING_CAP)))
 
 
 def _pair_bits(G, params):

@@ -1,6 +1,7 @@
 """Matching Kneser graphs and classical Kneser graphs."""
 
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,29 @@ def test_cap_is_enforced_and_named():
         build_matching_kneser(matching_graph(6), 2, cap=10)
 
 
+def test_an_over_cap_host_is_refused_before_its_table_is_made():
+    # matching_graph(2000) has 1,999,000 2-matchings, all in one unit, and
+    # its table would hold them all. The enumeration counts the table's
+    # members before it makes any of their bits, so refusing holds less
+    # memory than the first cap + 1 masks, which an enumerator that counts
+    # matchings only as it makes them holds when it refuses.
+    G = matching_graph(2000)
+    m, cap = G.m, kneser.DEFAULT_MATCHING_CAP
+    message = rf"^matching Kneser graph of \(4000 vertices, r=2\) has more than {cap} vertices \(enumeration stopped at {cap + 1}\)$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(KneserSizeError, match=message):
+            build_matching_kneser(G, 2)
+        refused = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        first = list(islice(((1 << i) | (1 << j) for i in range(m) for j in range(i + 1, m)), cap + 1))
+        held = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == cap + 1
+    assert refused < held
+
+
 def test_sidecar_format():
     mkg = build_matching_kneser(matching_graph(3), 2)
     lines = list(matchings_sidecar_lines(mkg))
@@ -154,10 +178,10 @@ def test_sidecar_format():
 
 
 def _deadline_stages(G, r, rows):
-    """The checks of one construction: one per enumerated block, then one per row."""
+    """The checks of one construction: one per enumerated unit, then one per row."""
 
-    blocks = sum(1 for _ in matching_blocks(G, r))
-    return ["r-matching enumeration"] * blocks + ["matching Kneser construction"] * rows
+    units = sum(1 for _ in matching_blocks(G, r))
+    return ["r-matching enumeration"] * units + ["matching Kneser construction"] * rows
 
 
 def test_kneser_pair_loop_checks_the_deadline_once_per_row():

@@ -12,10 +12,9 @@ from pathlib import Path
 import pytest
 
 from matchkneser import FamilyParams, certify_family, gap_graph
-from matchkneser.kneser import capped_matchings
 from matchkneser.verify import THEOREM2_GRID
 
-from helpers import SURVEY_GRID, gap_matching_count, readme_library_block
+from helpers import SURVEY_GRID, enumerated_blocks, gap_matching_count, readme_library_block
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,7 +80,7 @@ def test_an_out_of_range_flag_is_a_usage_error(name, flag, value, bound):
 @pytest.mark.parametrize("grid", sorted(set(THEOREM2_GRID) | set(SURVEY_GRID)))
 def test_matching_count_closed_form_agrees_with_enumeration(grid):
     params = FamilyParams(*grid)
-    blocks = capped_matchings(gap_graph(params), params.r)
+    blocks = enumerated_blocks(gap_graph(params), params.r)
     assert gap_matching_count(params) == sum(map(len, blocks))
 
 
