@@ -529,6 +529,43 @@ def first_matching(G: LabeledGraph, r: int) -> Matching | None:
 # no augmenting path exists from the chosen exposed vertex, which by Berge's
 # lemma never needs revisiting.
 
+def _lowest_common_base(
+    match: list[int], parent: dict[int, int], base_of: Callable[[int, int], int], a: int, b: int
+) -> int:
+    marked: set[int] = set()
+    x = a
+    while True:
+        x = base_of(x, x)
+        marked.add(x)
+        if match[x] == -1:
+            break
+        x = parent[match[x]]
+    y = b
+    while True:
+        y = base_of(y, y)
+        if y in marked:
+            return y
+        y = parent[match[y]]
+
+
+def _mark_blossom_path(
+    match: list[int],
+    parent: dict[int, int],
+    base_of: Callable[[int, int], int],
+    v: int,
+    stem: int,
+    child: int,
+    in_blossom: set[int],
+) -> None:
+    while base_of(v, v) != stem:
+        w = match[v]
+        in_blossom.add(base_of(v, v))
+        in_blossom.add(base_of(w, w))
+        parent[v] = child
+        child = w
+        v = parent[w]
+
+
 def _find_augmenting_path(adj, match: list[int], root: int, log: list[tuple[int, int]]) -> bool:
     # State is kept only for the vertices the alternating tree reaches: one
     # missing from ``base`` is its own base, and one missing from ``parent``
@@ -539,42 +576,16 @@ def _find_augmenting_path(adj, match: list[int], root: int, log: list[tuple[int,
     base_of = base.get
     queued = {root}
     queue = deque([root])
-
-    def lowest_common_base(a: int, b: int) -> int:
-        marked: set[int] = set()
-        x = a
-        while True:
-            x = base_of(x, x)
-            marked.add(x)
-            if match[x] == -1:
-                break
-            x = parent[match[x]]
-        y = b
-        while True:
-            y = base_of(y, y)
-            if y in marked:
-                return y
-            y = parent[match[y]]
-
-    def mark_blossom_path(v: int, stem: int, child: int, in_blossom: set[int]) -> None:
-        while base_of(v, v) != stem:
-            w = match[v]
-            in_blossom.add(base_of(v, v))
-            in_blossom.add(base_of(w, w))
-            parent[v] = child
-            child = w
-            v = parent[w]
-
     while queue:
         v = queue.popleft()
         for to in adj[v]:
             if base_of(v, v) == base_of(to, to) or match[v] == to:
                 continue
             if to == root or match[to] in parent:
-                stem = lowest_common_base(v, to)
+                stem = _lowest_common_base(match, parent, base_of, v, to)
                 in_blossom: set[int] = set()
-                mark_blossom_path(v, stem, to, in_blossom)
-                mark_blossom_path(to, stem, v, in_blossom)
+                _mark_blossom_path(match, parent, base_of, v, stem, to, in_blossom)
+                _mark_blossom_path(match, parent, base_of, to, stem, v, in_blossom)
                 # Only tree vertices can have a base in the blossom, and taking
                 # them in increasing order queues them as a sweep of all would.
                 for i in sorted(queued.union(parent)):

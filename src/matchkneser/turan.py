@@ -16,14 +16,23 @@ fact gives one bound: at least nu - r + 1 more deletions are needed. The
 other is by degree (Chvátal and Hanson, JCTB 20, 1976): a graph with
 nu < r and maximum degree at most Delta has at most f(r - 1, Delta)
 edges, so at least |E(G)| - f(r - 1, Delta) deletions in all, Delta being
-the current maximum degree, kept by a degree histogram. A node is pruned
-once the larger bound exceeds the best size found.
-A node whose bound equals it can only tie, and is pruned too unless its
-removed edges plus the smallest edges it may still delete sort below the
-best set. If the nu bound is tight, each of the nu - r + 1 deletions of a
-tie must lower nu, so each edge lies in every maximum matching: the
-smallest candidates are the unfrozen edges of the current matching, and
-too few of them prune the node. Otherwise they are all unfrozen edges.
+the current maximum degree, kept by a degree histogram. On a bipartite
+host f(r - 1, Delta) gives way to (r - 1) Delta, as such a graph has a
+vertex cover of r - 1 vertices (König, 1931). A node is pruned once the
+larger bound exceeds the best size found, and a child is bounded so before
+its repair: its nu is its parent's or one less.
+The best set starts as the edges that miss r - 1 hubs picked greedily by
+how many edges they cover; the hubs cover every kept edge, so the set is
+valid. On paths, lK2 and the gap family it is already optimal.
+A node whose bound equals the best size can only tie, and is pruned too
+unless its removed edges plus the smallest edges it may still delete (its
+fill) sort below the best set. If the nu bound is tight, each of the
+nu - r + 1 deletions of a tie must lower nu, so each edge lies in every
+maximum matching: the smallest candidates are the unfrozen edges of the
+current matching, and too few of them prune the node. Otherwise they are
+all unfrozen edges. The fill bounds every tie of the node element-wise, so
+if deleting it leaves nu < r it is the least set the node can reach: it
+becomes the best set and the node is not expanded.
 Branch i deletes the i-th branching edge and freezes the edges before it
 (they may not be deleted below), so no deletion set is reached twice and
 no memo of visited sets is needed.
@@ -83,6 +92,131 @@ def max_edge_count(nu: int, delta: int) -> int:
     return nu * delta + delta // 2 * (nu // ((delta + 1) // 2))
 
 
+def _is_bipartite(adj: list[list[int] | tuple[()]]) -> bool:
+    """Whether the graph of ``adj`` has no odd cycle, by one two-colouring walk."""
+
+    side = [-1] * len(adj)
+    for root, a in enumerate(adj):
+        if a and side[root] < 0:
+            side[root] = 0
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                other = side[v] ^ 1
+                for w in adj[v]:
+                    if side[w] < 0:
+                        side[w] = other
+                        stack.append(w)
+                    elif side[w] != other:
+                        return False
+    return True
+
+
+def _degree_floors(adj: list[list[int] | tuple[()]], m: int, r: int, delta: int) -> list[int]:
+    """For each d <= delta, the fewest deletions from the m edges of ``adj`` that leave nu < r and degrees <= d.
+
+    A graph with nu <= r - 1 keeps at most f(r - 1, d) edges. On a
+    bipartite host it has a vertex cover of r - 1 vertices (König, 1931),
+    so it keeps at most (r - 1) d; every subgraph of the host is bipartite
+    too, so one test serves the whole search.
+    """
+
+    if _is_bipartite(adj):
+        return [m - (r - 1) * d for d in range(delta + 1)]
+    return [m] + [m - max_edge_count(r - 1, d) for d in range(1, delta + 1)]
+
+
+def _hub_cover_deletion(edges: tuple[Edge, ...], adj: list[list[int] | tuple[()]], r: int) -> tuple[Edge, ...]:
+    """The edges that miss r - 1 greedily picked hubs: a valid deletion set, as the hubs cover every kept edge.
+
+    Each hub is the vertex on the most edges the earlier hubs miss, the
+    lowest such vertex on a tie. The caller's host has nu >= r, so r - 1
+    hubs never cover every edge and the heap never runs dry.
+    """
+
+    from heapq import heapify, heappop, heappush
+
+    n = len(adj)
+    degree = list(map(len, adj))
+    # Vertex v of degree d is queued as v - d n, which sorts by degree, then vertex.
+    heap = [v - d * n for v, d in enumerate(degree) if d]
+    heapify(heap)
+    hubs: set[int] = set()
+    while len(hubs) < r - 1:
+        d, hub = divmod(heappop(heap), n)
+        if -d != degree[hub]:
+            # Degrees only fall, so the entry overstates this one: queue it anew.
+            if degree[hub]:
+                heappush(heap, hub - degree[hub] * n)
+            continue
+        hubs.add(hub)
+        degree[hub] = 0
+        for w in adj[hub]:
+            if degree[w]:  # a hub counts 0; any other neighbour counts its edge to this hub
+                degree[w] -= 1
+    return tuple(e for e in edges if e[0] not in hubs and e[1] not in hubs)
+
+
+def _least_reach(
+    edges: tuple[Edge, ...],
+    removed: list[Edge],
+    frozen: set[Edge],
+    want: int,
+    best_set: tuple[Edge, ...],
+    mate: list[int] | None = None,
+) -> tuple[list[Edge], tuple[Edge, ...]] | None:
+    """The least set a tie may reach: ``removed`` plus its ``want`` smallest candidates, and those candidates.
+
+    The candidates are the edges neither frozen nor removed or, given
+    ``mate``, the unfrozen edges of its matching (removed edges are never
+    matched). Any tie adds ``want`` candidates, which the smallest ones
+    bound element-wise, hence lexicographically, from below. None if there
+    are too few of them or the set does not sort below ``best_set``.
+    """
+
+    if mate is None:
+        skip = frozen.union(removed)
+        candidates = (e for e in edges if e not in skip)
+    else:
+        candidates = (e for e in edges if mate[e[0]] == e[1] and e not in frozen)
+    fill = list(islice(candidates, want))
+    if len(fill) == want:
+        reach = tuple(sorted(removed + fill))
+        if reach < best_set:
+            return fill, reach
+    return None
+
+
+def _fill_leaves_no_r_matching(
+    adj: list[list[int] | tuple[()]], mate: list[int], fill: list[Edge], nu: int, r: int, deadline: Deadline
+) -> bool:
+    """Whether deleting ``fill`` as well leaves nu < r; ``adj`` and ``mate`` are restored before returning.
+
+    Without a repair it is False if too few fill edges are matched: the
+    matched edges the fill misses stay a matching. It stops with False once
+    the deletions left cannot bring nu below r, or when the deadline has
+    expired: it is checked every 64 repairs, as a fill can run to hundreds
+    of them.
+    """
+
+    log: list[tuple[int, int]] = []
+    done = 0
+    if sum(mate[u] == v for u, v in fill) > nu - r:
+        for i, (u, v) in enumerate(fill):
+            if nu - (len(fill) - i) >= r or (i % 64 == 63 and deadline.expired()):
+                break
+            adj[u].remove(v)
+            adj[v].remove(u)
+            nu -= repair_matching(adj, mate, u, v, log)
+            done = i + 1
+    for u, v in fill[:done]:
+        insort(adj[u], v)
+        insort(adj[v], u)
+    for w, old in reversed(log):
+        mate[w] = old
+    return done == len(fill) and nu < r
+
+
 def min_deletion_set(
     G: LabeledGraph,
     r: int,
@@ -92,14 +226,17 @@ def min_deletion_set(
     """A minimum edge set whose removal leaves G without any r-matching.
 
     Deterministic: ties between equally small deletion sets resolve to the
-    lexicographically least one. A node is bounded by nu - r + 1 more
-    deletions and by |E(G)| - :func:`max_edge_count` (r - 1, Delta) in all.
-    A node that can only tie with the best set is entered only while the
-    least set it could reach sorts below it; under a tight nu bound that set
-    is drawn from the current maximum matching alone, as every deletion of
-    a tie must lower nu. So no bound cuts the lexicographically least
-    optimum. Depth never exceeds the optimum, so the search is cheap
-    whenever the answer is.
+    lexicographically least one. The best set starts as the edges that
+    miss r - 1 greedily picked hubs. A node is bounded by nu - r + 1 more
+    deletions and by |E(G)| - :func:`max_edge_count` (r - 1, Delta) in all,
+    or |E(G)| - (r - 1) Delta on a bipartite host. A node that can only tie
+    with the best set is entered only while the least set it could reach
+    sorts below it; under a tight nu bound that set is drawn from the
+    current maximum matching alone, as every deletion of a tie must lower
+    nu. If that least set is itself valid, it is recorded and the node is
+    not expanded. So no bound cuts the lexicographically least optimum.
+    Depth never exceeds the optimum, so the search is cheap whenever the
+    answer is.
     A given ``deadline`` bounds the search and ``time_budget`` is then
     ignored; without one, the search gets ``time_budget`` seconds.
     """
@@ -119,12 +256,11 @@ def min_deletion_set(
     for a in adj:
         degree_count[len(a)] += 1
     # The degree bound by delta; a node with nu >= r has delta >= 1.
-    degree_floor = [G.m] + [G.m - max_edge_count(r - 1, d) for d in range(1, delta + 1)]
+    degree_floor = _degree_floors(adj, G.m, r, delta)
     frozen: set[Edge] = set()
     removed: list[Edge] = []
-    # Deleting everything is always valid, which seeds the bound.
-    best_size = G.m
-    best_set: tuple[Edge, ...] = G.edges
+    best_set = _hub_cover_deletion(G.edges, adj, r)
+    best_size = len(best_set)
     # One entry per node on the path: its nu, its branching edges, how many
     # of them it has taken, and the log of the mate entries the repair after
     # its current branch overwrote. removed[i] is the edge node i is exploring.
@@ -133,29 +269,27 @@ def min_deletion_set(
     while not deadline.expired():
         expand = False
         if nu < r:
-            candidate = tuple(sorted(removed))
-            if len(candidate) < best_size or (len(candidate) == best_size and candidate < best_set):
-                best_size = len(candidate)
-                best_set = candidate
+            # A child is entered only if it may beat the best set, and a
+            # leaf's bound is its own size: this leaf does.
+            best_set = tuple(sorted(removed))
+            best_size = len(best_set)
         else:
             nu_bound = len(removed) + nu - r + 1
             bound = max(nu_bound, degree_floor[delta])
             expand = bound < best_size
             if bound == best_size:
                 # Only a tie can come of this node: exactly best_size - |removed|
-                # more deletable edges. Taking the smallest candidates bounds
-                # every such set element-wise, hence lexicographically, from
-                # below; with too few candidates there is no such set.
-                if nu_bound == best_size:
-                    # Each deletion must lower nu, so it is an edge of mate's
-                    # matching; removed edges are never matched.
-                    candidates = (e for e in G.edges if mate[e[0]] == e[1] and e not in frozen)
-                else:
-                    skip = frozen.union(removed)
-                    candidates = (e for e in G.edges if e not in skip)
+                # more deletable edges. If the nu bound is tight, each must
+                # lower nu, so it is an edge of mate's matching. A valid
+                # least set is the best this node can reach.
                 want = best_size - len(removed)
-                fill = list(islice(candidates, want))
-                expand = len(fill) == want and tuple(sorted(removed + fill)) < best_set
+                least = _least_reach(G.edges, removed, frozen, want, best_set, mate if nu_bound == best_size else None)
+                if least:
+                    fill, reach = least
+                    if _fill_leaves_no_r_matching(adj, mate, fill, nu, r, deadline):
+                        best_set = reach
+                    else:
+                        expand = True
         if expand:
             # Any r edges of the maximum matching form an r-matching that a
             # valid set must meet. Matched frozen edges count towards the r
@@ -182,22 +316,36 @@ def min_deletion_set(
                     mate[w] = old
                 log.clear()
                 frozen.add((u, v))
-            if taken < len(branching):
-                node[2] = taken + 1
+            # A child's nu is node_nu or node_nu - 1, so it is bounded before
+            # its repair, leaf or not; one that cannot beat the best set is
+            # skipped, its edge frozen as if its branch were done.
+            while taken < len(branching):
                 u, v = branching[taken]
-                adj[u].remove(v)
-                adj[v].remove(u)
-                for w in u, v:
-                    d = len(adj[w])
-                    degree_count[d + 1] -= 1
-                    degree_count[d] += 1
-                if not degree_count[delta]:
-                    delta -= 1
-                removed.append((u, v))
-                nu = node_nu - repair_matching(adj, mate, u, v, log)
-                break
-            frozen.difference_update(branching)
-            trail.pop()
+                taken += 1
+                at_delta = (len(adj[u]) == delta) + (len(adj[v]) == delta)
+                child_delta = delta - (degree_count[delta] == at_delta)
+                bound = max(len(removed) + 1 + node_nu - r, degree_floor[child_delta])
+                if bound < best_size or (
+                    bound == best_size
+                    and _least_reach(G.edges, removed + [(u, v)], frozen, best_size - len(removed) - 1, best_set)
+                ):
+                    break
+                frozen.add((u, v))
+            else:
+                frozen.difference_update(branching)
+                trail.pop()
+                continue
+            node[2] = taken
+            adj[u].remove(v)
+            adj[v].remove(u)
+            for w in u, v:
+                d = len(adj[w])
+                degree_count[d + 1] -= 1
+                degree_count[d] += 1
+            delta = child_delta
+            removed.append((u, v))
+            nu = node_nu - repair_matching(adj, mate, u, v, log)
+            break
         if not trail:
             optimal = True
             break
@@ -214,8 +362,9 @@ def optimal_deletion_set(G: LabeledGraph, r: int, deadline: Deadline | None = No
 
     cert = min_deletion_set(G, r, deadline=deadline)
     if not cert.optimal:
-        delta = max(map(len, neighbor_lists(G)))
-        lower = max(matching_number(G) - r + 1, G.m - max_edge_count(r - 1, delta))
+        adj = neighbor_lists(G)
+        delta = max(map(len, adj))
+        lower = max(matching_number(G) - r + 1, _degree_floors(adj, G.m, r, delta)[delta])
         raise SearchTimeout(
             f"minimum deletion search for r={r} timed out; optimum in [{lower}, {cert.size}]"
         )

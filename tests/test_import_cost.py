@@ -30,7 +30,7 @@ def modules_loaded_by(module, candidates):
 @pytest.mark.parametrize(
     "module, absent",
     [
-        ("matchkneser", ("dataclasses", "inspect", "ast", "dis", "json")),
+        ("matchkneser", ("dataclasses", "inspect", "ast", "dis", "json", "heapq")),
         ("matchkneser.cli", ("dataclasses", "inspect", "json")),
     ],
 )

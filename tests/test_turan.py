@@ -25,8 +25,8 @@ from matchkneser import (
     petersen,
     remove_edges,
 )
-from matchkneser import verify
-from matchkneser.graphs import maximum_mates, repair_matching
+from matchkneser import turan, verify
+from matchkneser.graphs import maximum_mates, neighbor_lists, repair_matching
 from matchkneser.turan import max_edge_count
 from matchkneser.verify import naive_max_free_edge_count, naive_min_deletion_size
 
@@ -34,6 +34,16 @@ from helpers import graphs
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
 K5 = make_graph(5, list(combinations(range(5), 2)))
+
+
+def _path(n):
+    return make_graph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def _triangles(l):
+    """l disjoint triangles. At r = 2 one is kept, so D = 3l - 3, but one hub keeps only two edges."""
+
+    return make_graph(3 * l, [e for t in range(0, 3 * l, 3) for e in ((t, t + 1), (t, t + 2), (t + 1, t + 2))])
 
 
 def _atlas(max_n):
@@ -82,6 +92,17 @@ def test_petersen_deletion():
     assert generalized_turan(petersen(), 5) == 12
 
 
+def _first_atlas_mismatch():
+    """The first (edges, r) of the atlas on 1..6 vertices whose search differs from the brute-force least optimum."""
+
+    for G in _atlas(6):
+        for r in range(1, matching_number(G) + 1):
+            cert = min_deletion_set(G, r)
+            if not cert.optimal or cert.deleted != _least_deletion_set(G, r):
+                return G.edges, r
+    return None
+
+
 def test_every_small_atlas_graph_gets_the_least_optimum_at_every_r():
     # 486 (graph, r) instances: every atlas graph on 1..6 vertices, 1 <= r <= nu.
     instances = [(G, r) for G in _atlas(6) for r in range(1, matching_number(G) + 1)]
@@ -107,6 +128,31 @@ def test_every_small_atlas_graph_gets_the_least_optimum_at_every_r():
 def test_a_tie_only_the_degree_bound_makes_draws_from_every_edge(G, deleted):
     cert = min_deletion_set(G, 2)
     assert cert.optimal and cert.deleted == deleted == _least_deletion_set(G, 2)
+
+
+def test_the_atlas_oracle_catches_a_fill_accepted_without_its_matching_check(monkeypatch):
+    # A tie node settled by a fill it never repaired records sets that leave an r-matching.
+    monkeypatch.setattr(turan, "_fill_leaves_no_r_matching", lambda *args: True)
+    assert _first_atlas_mismatch() is not None
+
+
+def test_the_atlas_oracle_catches_the_cover_bound_on_a_host_with_odd_cycles(monkeypatch):
+    # Two triangles keep three edges at r = 2, one more than the cover bound (r - 1) Delta allows.
+    monkeypatch.setattr(turan, "_is_bipartite", lambda adj: True)
+    assert _first_atlas_mismatch() is not None
+    two_triangles = make_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    assert min_deletion_set(two_triangles, 2).size == 4
+    monkeypatch.undo()
+    assert min_deletion_set(two_triangles, 2).size == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=8, max_m=12))
+def test_the_hub_cover_incumbent_is_valid_and_no_smaller_than_the_optimum(G):
+    for r in range(1, matching_number(G) + 1):
+        incumbent = turan._hub_cover_deletion(G.edges, neighbor_lists(G), r)
+        assert matching_number(remove_edges(G, incumbent)) < r
+        assert len(incumbent) >= min_deletion_set(G, r).size
 
 
 def test_edge_count_bound_holds_on_every_atlas_graph_up_to_seven_vertices():
@@ -203,17 +249,25 @@ def test_nan_time_budget_is_refused(solve):
 
 def test_timeout_message_brackets_the_optimum():
     # nu(Petersen) = 5, so at r = 5 at least one deletion is needed; the
-    # search stops before its first node, so the best set is all 15 edges.
-    with pytest.raises(SearchTimeout, match=r"optimum in \[1, 15\]"):
+    # search stops before its first node, so the best set is the hub cover
+    # incumbent: four hubs cover 11 of the 15 edges.
+    with pytest.raises(SearchTimeout, match=r"optimum in \[1, 4\]"):
         generalized_turan(petersen(), 5, deadline=Deadline(-1.0))
 
 
 def test_timeout_message_brackets_the_optimum_with_the_degree_bound():
-    # nu(P1000) = 500 gives only 499, but a path keeping at most f(1, 2) = 3
-    # edges loses at least 996 of its 999; the optimum keeps two, D = 997.
-    path = make_graph(1000, [(v, v + 1) for v in range(999)])
-    with pytest.raises(SearchTimeout, match=r"optimum in \[996, 999\]"):
-        generalized_turan(path, 2, deadline=Deadline(-1.0))
+    # nu(P1000) = 500 gives only 499, but a path is bipartite: keeping at
+    # most (r - 1) Delta = 2 edges, it loses at least 997 of its 999. One
+    # hub keeps two edges, so the bracket closes before the search starts.
+    with pytest.raises(SearchTimeout, match=r"optimum in \[997, 997\]"):
+        generalized_turan(_path(1000), 2, deadline=Deadline(-1.0))
+
+
+@pytest.mark.parametrize("n, r, size", [(1000, 2, 997), (60, 5, 51)], ids=["P1000-2", "P60-5"])
+def test_paths_are_proven_optimal_within_a_second(n, r, size):
+    # The cover bound meets the hub incumbent at the root.
+    cert = min_deletion_set(_path(n), r, time_budget=1.0)
+    assert cert.optimal and cert.size == size
 
 
 def test_certificate_json_schema():
@@ -246,7 +300,10 @@ def test_radius_two_tree_ladder(r, theta):
 
 
 class NodeCountingDeadline(Deadline):
-    """No time limit; counts ``expired()`` calls, one per search node, and expires after ``limit``."""
+    """No time limit; counts ``expired()`` calls and expires after ``limit``.
+
+    The search calls it once per node, and once per 64 repairs of a fill check.
+    """
 
     def __init__(self, limit=None):
         super().__init__(None)
@@ -261,14 +318,19 @@ class NodeCountingDeadline(Deadline):
 @pytest.mark.parametrize(
     "G, r, nodes",
     [
-        (petersen(), 5, 33),
-        (gap_tree(5, 1), 5, 21),
-        (gap_tree(7, 1), 7, 43),
-        (gap_tree(6, 3), 6, 43),
-        (gap_graph(FamilyParams(r=4, theta=2, gamma=2)), 4, 17),
-        (matching_graph(10), 3, 25),
+        (petersen(), 5, 29),
+        (gap_tree(5, 1), 5, 1),
+        (gap_tree(7, 1), 7, 1),
+        (gap_tree(6, 3), 6, 1),
+        (gap_graph(FamilyParams(r=4, theta=2, gamma=2)), 4, 1),
+        (matching_graph(10), 3, 1),
+        # Three of the benchmark's random graphs with odd cycles, where the
+        # hub incumbent is not the optimum at once.
+        (make_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)]), 3, 23),
+        (make_graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5), (1, 6), (2, 3), (2, 6), (3, 5)]), 3, 22),
+        (make_graph(7, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5), (2, 6), (5, 6)]), 3, 18),
     ],
-    ids=["petersen-5", "tree-5-1", "tree-7-1", "tree-6-3", "gap-4-2-2", "10K2-3"],
+    ids=["petersen-5", "tree-5-1", "tree-7-1", "tree-6-3", "gap-4-2-2", "10K2-3", "random-7", "random-13", "random-31"],
 )
 def test_search_enters_a_pinned_number_of_nodes(G, r, nodes):
     deadline = NodeCountingDeadline()
@@ -278,21 +340,42 @@ def test_search_enters_a_pinned_number_of_nodes(G, r, nodes):
 
 @pytest.mark.parametrize("limit", [0, 1, 10, 21, 42])
 def test_search_stopped_after_some_nodes_still_returns_a_valid_set(limit):
-    G = gap_tree(7, 1)
+    G = make_graph(7, list(combinations(range(7), 2)))  # K7 at r = 3 takes 560 nodes
     deadline = NodeCountingDeadline(limit)
-    cert = min_deletion_set(G, 7, deadline=deadline)
+    cert = min_deletion_set(G, 3, deadline=deadline)
     assert not cert.optimal
     assert deadline.nodes == limit + 1  # the search stops at the first expired check
     assert cert.size == len(cert.deleted)
-    assert matching_number(remove_edges(G, cert.deleted)) < 7
+    assert matching_number(remove_edges(G, cert.deleted)) < 3
+
+
+def test_a_deadline_that_expires_inside_a_fill_check_stops_the_search():
+    # P1000's root ties with the hub incumbent, and its fill runs 997
+    # repairs: the deadline is looked at after repairs 64, 128, ..., 960.
+    G = _path(1000)
+    deadline = NodeCountingDeadline()
+    assert min_deletion_set(G, 2, deadline=deadline).optimal
+    assert deadline.nodes == 1 + 15
+    deadline = NodeCountingDeadline(1)
+    cert = min_deletion_set(G, 2, deadline=deadline)
+    assert not cert.optimal
+    assert cert.size == len(cert.deleted) == 997
+    assert matching_number(remove_edges(G, cert.deleted)) < 2
 
 
 def test_search_deeper_than_the_recursion_limit():
-    # 1200K2 keeps one edge at r = 2: the search path is 1199 deletions deep.
+    # 1200K2 keeps one edge at r = 2; the root's fill is that optimum.
     G = matching_graph(1200)
     cert = min_deletion_set(G, 2)
     assert cert.size == 1199 and cert.optimal
     assert cert.deleted == G.edges[:-1]  # lexicographically least optimum
+    # 400 triangles keep one at r = 2: the search path is 1197 deletions deep.
+    G = _triangles(400)
+    deadline = NodeCountingDeadline()
+    cert = min_deletion_set(G, 2, deadline=deadline)
+    assert cert.size == 1197 and cert.optimal
+    assert cert.deleted == G.edges[:-3]
+    assert deadline.nodes == 1198
 
 
 def _random_graph(rng, n, p):
@@ -386,9 +469,9 @@ def test_repair_allocates_nothing_of_the_host_size():
 
 
 def test_deletion_search_keeps_no_copy_of_the_mate_array_per_node():
-    # 1000K2 at r = 2 is searched down a path 999 deletions deep; a copy of
-    # its 2,000-entry mate array per node would hold about 16 MB.
-    G = matching_graph(1000)
+    # 334 triangles at r = 2 are searched down a path 999 deletions deep; a
+    # copy of their 1,002-entry mate array per node would hold about 8 MB.
+    G = _triangles(334)
     cert, peak = _traced_peak(lambda: min_deletion_set(G, 2))
     assert cert.size == 999 and cert.optimal
     assert peak < 4 * 1024 * 1024
