@@ -170,7 +170,7 @@ def test_search_leaves_the_recursion_limit_alone():
         assert chromatic_number(kneser_graph(7, 2)).k == 5
         assert sys.getrecursionlimit() == 1000
         with pytest.raises(SearchTimeout):
-            is_k_colorable(kneser_graph(9, 3), 4, deadline=_TripOnCheck())
+            is_k_colorable(kneser_graph(11, 2), 8, deadline=_TripOnCheck())
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
@@ -179,15 +179,14 @@ def test_search_leaves_the_recursion_limit_alone():
 @pytest.mark.parametrize(
     "name, k, colorings",
     [
-        # 1,858 of the colorings branch; without the autarky cut the search
-        # makes 26,797 colorings, 3,592 of them branches. The branch counts
-        # of all five rows are the same as when the search also tested two
-        # adjacent vertices left the same last color, a test that saved
-        # only forced colorings (5,149 colorings here).
-        ("K(10,2)", 7, 9016),
-        ("K(9,3)", 4, 1724),  # 272 branch; 2,116 colorings without the autarky cut
-        ("K(11,2)", 8, 35898),  # 8,380 branch; 313,615 colorings without the autarky cut
-        ("gap(3,5,1)", 4, 1757),  # 341 branch; 4,375 colorings without the autarky cut
+        # 164 of the colorings branch. Breaking every branch tie by lowest
+        # index, as the search does until its first dead end, it made 9,016
+        # colorings, 1,858 of them branches; without the autarky cut as well
+        # it made 26,797 colorings, 3,592 of them branches.
+        ("K(10,2)", 7, 1263),
+        ("K(9,3)", 4, 743),  # 79 branch; 1,724 colorings (272 branch) lowest-first
+        ("K(11,2)", 8, 4950),  # 589 branch; 35,898 colorings (8,380 branch) lowest-first
+        ("gap(3,5,1)", 4, 580),  # 75 branch; 1,757 colorings (341 branch) lowest-first
         # Each isolated vertex is a final branch, so the K4 is refuted once,
         # not once per coloring of the ten: 162,390 without the autarky cut.
         ("10K1+K4", 3, 18),
@@ -200,10 +199,58 @@ def test_refutation_node_counts(monkeypatch, name, k, colorings):
     deadline = _TripOnCheck(trips=float("inf"))
     assert is_k_colorable(_search_graph(name), k, deadline=deadline) is None
     assert deadline.checks == 1 + colorings
-    if name == "K(9,3)":
-        # test_search_leaves_the_recursion_limit_alone needs this search to
-        # reach its second deadline check, at coloring 1,024.
+    if name == "K(11,2)":
+        # test_search_leaves_the_recursion_limit_alone and
+        # test_chromatic_number_timeout_says_how_far_it_got need this search
+        # to reach its second deadline check, at coloring 1,024.
         assert colorings >= 1024
+
+
+def test_a_success_with_no_dead_end_colors_each_vertex_once(monkeypatch):
+    # Never dead-ending, the search breaks every tie by lowest index, so its
+    # coloring is the canonical one and is_k_colorable does not search again.
+    monkeypatch.setattr(coloring, "_DEADLINE_STRIDE", 1)
+    H = _search_graph("gap(4,3,2)")
+    deadline = _TripOnCheck(trips=float("inf"))
+    assert is_k_colorable(H, 3, deadline=deadline) is not None
+    assert deadline.checks == 1 + H.n
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    # The reference, which has no autarky cut, takes about 28 s on Petersen.
+    [("K(9,3)", 5), pytest.param("KG(Petersen,2)", 12, marks=pytest.mark.slow)],
+)
+def test_a_success_after_a_dead_end_returns_the_canonical_coloring(name, k):
+    # Past its first dead end the search breaks branch ties by bit-reversed
+    # index, and here it finds a different k-coloring that way; the coloring
+    # returned must still be the one the lowest-index search finds first.
+    H = _search_graph(name)
+    assert is_k_colorable(H, k) == tuple(reference_k_coloring(H, k))
+
+
+def test_a_timeout_in_the_canonical_rerun_says_a_coloring_exists():
+    # The bit-reversed search finds a 12-coloring within 6,632 colorings,
+    # which make six deadline checks after the first; the canonical rerun
+    # then trips at its coloring 1,024.
+    with pytest.raises(SearchTimeout) as info:
+        is_k_colorable(_search_graph("KG(Petersen,2)"), 12, deadline=_TripOnCheck(trips=8))
+    assert str(info.value) == (
+        "k-coloring search after 1024 colorings in the canonical rerun; a 12-coloring exists, so chi <= 12"
+    )
+    assert isinstance(info.value.__cause__, SearchTimeout)
+
+
+def test_bit_clear_masks_pick_the_least_bit_reversed_index():
+    rng = random.Random(0)
+    for n in range(1, 71):
+        width = (n - 1).bit_length()
+        masks = coloring._bit_clear_masks(n)
+        assert masks == [sum(1 << v for v in range(n) if not v >> b & 1) for b in range(width)]
+        for _ in range(20):
+            tied = rng.getrandbits(n) or 1 << rng.randrange(n)
+            least = min((v for v in range(n) if tied >> v & 1), key=lambda v: format(v, f"0{width}b")[::-1])
+            assert coloring._least_bit_reversed(tied, masks) == 1 << least, (n, tied)
 
 
 def test_a_forced_chain_checks_its_deadline():
@@ -233,18 +280,19 @@ def test_search_memory_stays_small():
     assert peak <= 9_100_000
 
 
-@pytest.mark.slow
 def test_petersen_at_r3_has_chi_nine_by_exhaustion():
     # 145 vertices and a greedy clique of 4: only refuting 8 colors shows
-    # chi = 9 = D. About 5 s; 254 s before the autarky cut.
+    # chi = 9 = D. About 1.8 s; 5 s with every branch tie broken by lowest
+    # index, 254 s before the autarky cut.
     cert = chromatic_number(build_matching_kneser(petersen(), 3).graph)
     assert cert.k == 9 and cert.witness.kind == "EXHAUSTION"
 
 
 @pytest.mark.slow
 def test_p12_at_r3_has_chi_seven():
-    # The 6-coloring search of KG(P12, 3K2) takes about 15 s; before the
-    # autarky cut it was still open after 120 s.
+    # The 6-coloring search of KG(P12, 3K2) takes about 6.5 s, 15 s with
+    # every branch tie broken by lowest index; before the autarky cut it was
+    # still open after 120 s.
     path = make_graph(12, [(i, i + 1) for i in range(11)])
     assert chromatic_number(build_matching_kneser(path, 3).graph).k == 7
 
@@ -252,21 +300,22 @@ def test_p12_at_r3_has_chi_seven():
 @pytest.mark.slow
 def test_p12_at_r4_has_chi_five_by_exhaustion():
     # 70 vertices and a greedy clique of 2: only refuting 4 colors shows
-    # chi = 5. About 17 s.
+    # chi = 5. About 3.2 s; 17 s with every branch tie broken by lowest index.
     path = make_graph(12, [(i, i + 1) for i in range(11)])
     cert = chromatic_number(build_matching_kneser(path, 4).graph)
     assert cert.k == 5 and cert.witness.kind == "EXHAUSTION"
 
 
 def test_chromatic_number_timeout_says_how_far_it_got():
-    # K(9,3) has chi = 5 and a greedy clique of 3. The 3-coloring search is
-    # refuted within its first 1,024 colorings; the deadline then trips
-    # inside the 4-coloring search, at its coloring 1,024.
+    # K(11,2) has chi = 9 and a greedy clique of 5. The 5-, 6- and
+    # 7-coloring searches are refuted within their first 1,024 colorings,
+    # one deadline check each; the deadline then trips inside the 8-coloring
+    # search, at its coloring 1,024.
     with pytest.raises(SearchTimeout) as info:
-        chromatic_number(kneser_graph(9, 3), deadline=_TripOnCheck(trips=3))
+        chromatic_number(kneser_graph(11, 2), deadline=_TripOnCheck(trips=5))
     assert str(info.value) == (
-        "k-coloring search after 1024 colorings while searching for a 4-coloring;"
-        " chi >= 4 is proven (greedy clique of 3)"
+        "k-coloring search after 1024 colorings while searching for a 8-coloring;"
+        " chi >= 8 is proven (greedy clique of 5)"
     )
     assert isinstance(info.value.__cause__, SearchTimeout)
 
@@ -292,7 +341,9 @@ def test_deep_searches_never_touch_the_recursion_limit(monkeypatch):
 def _search_graph(name):
     if name == "10K1+K4":  # ten isolated vertices, then a K4 on vertices 10..13
         return make_graph(14, [(u, v) for u in range(10, 14) for v in range(u + 1, 14)])
-    if name.startswith("K"):
+    if name == "KG(Petersen,2)":
+        return build_matching_kneser(petersen(), 2).graph
+    if name.startswith("K("):
         l, r = map(int, name[2:-1].split(","))
         return kneser_graph(l, r)
     r, theta, gamma = map(int, name[4:-1].split(","))
